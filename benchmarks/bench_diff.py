@@ -10,7 +10,9 @@ Both files use the shared envelope written by
 Metrics are flattened to dotted keys and classified:
 
 * **qpf** — any key mentioning ``qpf``: deterministic work counts.
-  A >threshold regression here always exits nonzero.
+  A >threshold regression here always exits nonzero, and so does a
+  baseline ``qpf`` key that is missing from the current file (a mode
+  that stops reporting must not pass as parity).
 * **wall** — keys mentioning wall time or throughput (``per_sec``,
   ``wall``, ``_ms``, ``seconds``, ``speedup``, ``throughput``): noisy
   on shared machines.  Regressions exit nonzero unless ``--warn-wall``
@@ -37,7 +39,7 @@ import sys
 from _common import load_bench_json
 
 __all__ = ["flatten", "classify", "higher_is_better", "diff",
-           "check_floors", "main"]
+           "missing_qpf_keys", "check_floors", "main"]
 
 #: Substrings marking a metric where bigger numbers are improvements.
 _HIGHER_BETTER = ("per_sec", "speedup", "saved", "hits", "hit_ratio",
@@ -104,6 +106,13 @@ def diff(baseline: dict, current: dict, threshold: float) -> list[dict]:
             "regressed": worse > threshold,
         })
     return records
+
+
+def missing_qpf_keys(baseline: dict, current: dict) -> list[str]:
+    """Baseline keys of kind ``qpf`` that the current file lacks."""
+    cur = flatten(current["metrics"])
+    return sorted(key for key in flatten(baseline["metrics"])
+                  if classify(key) == "qpf" and key not in cur)
 
 
 def check_floors(baseline: dict, current: dict,
@@ -197,10 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: {record['kind']} metric {record['key']} regressed "
               f"{100 * record['worse_by']:.1f}% "
               f"({record['old']:.4g} -> {record['new']:.4g})")
+    missing = missing_qpf_keys(baseline, current)
+    for key in missing:
+        print(f"FAIL: qpf metric {key} missing from current file")
     floor_failures = check_floors(baseline, current, args.floor)
     for message in floor_failures:
         print(f"FAIL: {message}")
-    if hard or floor_failures:
+    if hard or missing or floor_failures:
         return 1
     print("bench_diff: no fatal regressions")
     return 0

@@ -10,9 +10,6 @@ exact number:
 * ``serial`` — lone ``TrustedMachine``, the reference.
 * ``traced`` — same run under a live ``Tracer`` (observation must not
   perturb work).
-* ``shard_thread`` / ``shard_process`` / ``shard_shm`` — the
-  ``QPFShardPool`` worker modes (sharding changes *where* tuples are
-  evaluated, never *how many*).
 * ``engine_serial`` — the full SQL path (parse -> plan cache -> physical
   operators) on a seed-twin ``EncryptedDatabase``; the planner layer
   must add zero QPF.
@@ -49,9 +46,6 @@ NUM_QUERIES = 120
 EXPECTED_QPF = 23455
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_parity.json"
 
-#: ``QPFShardPool`` worker modes under test, all at two workers.
-SHARD_MODES = ("thread", "process", "shm")
-
 
 def _thresholds() -> list[int]:
     return [int(t) for t in
@@ -62,19 +56,16 @@ def _probe_table():
     return uniform_table("t", NUM_ROWS, ["X"], domain=DOMAIN, seed=0)
 
 
-def _run_testbed(tracer=None, **testbed_kwargs) -> dict:
+def _run_testbed(tracer=None) -> dict:
     """The probe through the PRKB directly; returns its parity stats."""
-    bed = Testbed(_probe_table(), ["X"], seed=7, **testbed_kwargs)
+    bed = Testbed(_probe_table(), ["X"], seed=7)
     if tracer is not None:
         bed.counter.tracer = tracer
-    try:
-        for threshold in _thresholds():
-            trapdoor = bed.owner.comparison_trapdoor("X", "<", threshold)
-            bed.prkb["X"].select(trapdoor)
-        return {"qpf_uses": bed.counter.qpf_uses,
-                "partitions": bed.prkb["X"].pop.num_partitions}
-    finally:
-        bed.close()
+    for threshold in _thresholds():
+        trapdoor = bed.owner.comparison_trapdoor("X", "<", threshold)
+        bed.prkb["X"].select(trapdoor)
+    return {"qpf_uses": bed.counter.qpf_uses,
+            "partitions": bed.prkb["X"].pop.num_partitions}
 
 
 def _engine_twin() -> EncryptedDatabase:
@@ -106,9 +97,6 @@ def _run_engine(batched: bool) -> dict:
 def _measure() -> dict:
     results = {"serial": _run_testbed(),
                "traced": _run_testbed(tracer=Tracer(capacity=8192))}
-    for mode in SHARD_MODES:
-        results[f"shard_{mode}"] = _run_testbed(
-            qpf_workers=2, qpf_worker_mode=mode)
     results["engine_serial"] = _run_engine(batched=False)
     results["engine_batched"] = _run_engine(batched=True)
     results["expected"] = {"qpf_uses": EXPECTED_QPF}

@@ -3,11 +3,11 @@
 Not a paper figure: this pins the PR's memory-reuse machinery at
 100k–500k-row scales.  Four sections:
 
-* **modes** — full-table ``X < c`` probes through every execution mode
-  (serial / thread / process / shm shard pools), cold
-  (``column_cache_bytes=0``) versus warm (default budget, primed and
-  given one untimed steady-state pass).  Reports queries/sec, the
-  warm-over-cold speedup and the column-cache hit ratio.
+* **modes** — full-table ``X < c`` probes through the serial trusted
+  machine, cold (``column_cache_bytes=0``) versus warm (default budget,
+  primed and given one untimed steady-state pass).  Reports
+  queries/sec, the warm-over-cold speedup and the column-cache hit
+  ratio.
 * **scaling** — the serial cold/warm pair again on a 5x larger table,
   so the speedup is pinned at two dataset sizes.
 * **eviction** — three attributes round-robined through a budget that
@@ -17,7 +17,7 @@ Not a paper figure: this pins the PR's memory-reuse machinery at
   be served from pooled scratch blocks (zero fresh arena allocations).
 
 The 23455-QPF parity probe (see ``bench_parity_probe.py``) is
-re-verified inline, cold and warm, in every mode: the cache and arena
+re-verified inline, cold and warm: the cache and arena
 must never change QPF accounting.  Parity keys are scale-independent —
 ``--tiny`` shrinks only the throughput workloads — so CI can diff a
 tiny run against the committed full-scale ``BENCH_scale.json`` with
@@ -52,67 +52,50 @@ from bench_parity_probe import (
 DOMAIN = (1, 1_000_000)
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
-MODES = ("serial", "thread", "process", "shm")
 
-
-def _mode_kwargs(mode: str) -> dict:
-    if mode == "serial":
-        return {}
-    return {"qpf_workers": 2, "qpf_worker_mode": mode}
-
-
-def _throughput(table, mode: str, warm: bool, thresholds) -> dict:
-    """Best-of-N full-table probe throughput for one mode/temperature."""
-    bed = Testbed(table, [], seed=7,
-                  column_cache_bytes=None if warm else 0,
-                  **_mode_kwargs(mode))
-    try:
-        trapdoors = [bed.owner.comparison_trapdoor("X", "<", int(c))
-                     for c in thresholds]
-        uids = table.uids
-        if warm:
-            bed.prime_column_cache("X")
-        # One untimed pass: unseals predicates everywhere and lets
-        # process/shm workers (which own private caches) self-warm.
+def _throughput(table, warm: bool, thresholds) -> dict:
+    """Best-of-N full-table probe throughput at one cache temperature."""
+    bed = Testbed(table, [], seed=7, column_cache_bytes=None if warm else 0)
+    trapdoors = [bed.owner.comparison_trapdoor("X", "<", int(c))
+                 for c in thresholds]
+    uids = table.uids
+    if warm:
+        bed.prime_column_cache("X")
+    # One untimed pass unseals every predicate.
+    for trapdoor in trapdoors:
+        bed.qpf.batch(trapdoor, bed.table, uids)
+    before = bed.counter.snapshot()
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
         for trapdoor in trapdoors:
             bed.qpf.batch(trapdoor, bed.table, uids)
-        before = bed.counter.snapshot()
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for trapdoor in trapdoors:
-                bed.qpf.batch(trapdoor, bed.table, uids)
-            best = min(best, time.perf_counter() - start)
-        spent = bed.counter.diff(before)
-        lookups = spent.column_cache_hits + spent.column_cache_misses
-        return {
-            "queries_per_sec": round(len(trapdoors) / best, 2),
-            "cache_hit_ratio": round(
-                spent.column_cache_hits / lookups, 4) if lookups else 0.0,
-        }
-    finally:
-        bed.close()
+        best = min(best, time.perf_counter() - start)
+    spent = bed.counter.diff(before)
+    lookups = spent.column_cache_hits + spent.column_cache_misses
+    return {
+        "queries_per_sec": round(len(trapdoors) / best, 2),
+        "cache_hit_ratio": round(
+            spent.column_cache_hits / lookups, 4) if lookups else 0.0,
+    }
 
 
 def _mode_section(table, thresholds) -> dict:
-    results = {}
-    for mode in MODES:
-        cold = _throughput(table, mode, warm=False, thresholds=thresholds)
-        warm = _throughput(table, mode, warm=True, thresholds=thresholds)
-        results[mode] = {
-            "cold_queries_per_sec": cold["queries_per_sec"],
-            "warm_queries_per_sec": warm["queries_per_sec"],
-            "warm_speedup": round(
-                warm["queries_per_sec"] / cold["queries_per_sec"], 2),
-            "cache_hit_ratio": warm["cache_hit_ratio"],
-        }
-    return results
+    cold = _throughput(table, warm=False, thresholds=thresholds)
+    warm = _throughput(table, warm=True, thresholds=thresholds)
+    return {"serial": {
+        "cold_queries_per_sec": cold["queries_per_sec"],
+        "warm_queries_per_sec": warm["queries_per_sec"],
+        "warm_speedup": round(
+            warm["queries_per_sec"] / cold["queries_per_sec"], 2),
+        "cache_hit_ratio": warm["cache_hit_ratio"],
+    }}
 
 
 def _scaling_section(rows: int, thresholds) -> dict:
     table = uniform_table("t", rows, ["X"], domain=DOMAIN, seed=0)
-    cold = _throughput(table, "serial", warm=False, thresholds=thresholds)
-    warm = _throughput(table, "serial", warm=True, thresholds=thresholds)
+    cold = _throughput(table, warm=False, thresholds=thresholds)
+    warm = _throughput(table, warm=True, thresholds=thresholds)
     return {
         "rows": rows,
         "cold_queries_per_sec": cold["queries_per_sec"],
@@ -129,91 +112,78 @@ def _eviction_section(rows: int) -> dict:
     budget = int(rows * 8 * 1.5)
     bed = Testbed(table, [], seed=7, column_cache_bytes=budget)
     exact = Testbed(table, [], seed=7, column_cache_bytes=0)
-    try:
-        mismatches = 0
-        over_budget = 0
-        for round_no in range(4):
-            for attribute in ("A", "B", "C"):
-                constant = DOMAIN[1] // (2 + round_no)
-                trapdoor = bed.owner.comparison_trapdoor(
-                    attribute, "<", constant)
-                got = bed.qpf.batch(trapdoor, bed.table, table.uids)
-                want = exact.qpf.batch(trapdoor, exact.table, table.uids)
-                mismatches += int(not np.array_equal(got, want))
-                if bed.column_cache_stats()["resident_bytes"] > budget:
-                    over_budget += 1
-        stats = bed.column_cache_stats()
-        return {
-            "budget_bytes": budget,
-            "resident_bytes": stats["resident_bytes"],
-            "evictions": bed.counter.column_cache_evictions,
-            "over_budget_observations": over_budget,
-            "label_mismatches": mismatches,
-        }
-    finally:
-        bed.close()
-        exact.close()
+    mismatches = 0
+    over_budget = 0
+    for round_no in range(4):
+        for attribute in ("A", "B", "C"):
+            constant = DOMAIN[1] // (2 + round_no)
+            trapdoor = bed.owner.comparison_trapdoor(
+                attribute, "<", constant)
+            got = bed.qpf.batch(trapdoor, bed.table, table.uids)
+            want = exact.qpf.batch(trapdoor, exact.table, table.uids)
+            mismatches += int(not np.array_equal(got, want))
+            if bed.column_cache_stats()["resident_bytes"] > budget:
+                over_budget += 1
+    stats = bed.column_cache_stats()
+    return {
+        "budget_bytes": budget,
+        "resident_bytes": stats["resident_bytes"],
+        "evictions": bed.counter.column_cache_evictions,
+        "over_budget_observations": over_budget,
+        "label_mismatches": mismatches,
+    }
 
 
 def _arena_section(rows: int, num_queries: int) -> dict:
     """Two identical PRKB(MD) passes; pass 2 must reuse pooled scratch."""
     table = uniform_table("t", rows, ["X", "Y"], domain=DOMAIN, seed=5)
     bed = Testbed(table, ["X", "Y"], seed=7)
-    try:
-        rng = np.random.default_rng(11)
-        boxes = []
-        for __ in range(num_queries):
-            lows = rng.integers(DOMAIN[0], DOMAIN[1] // 2, size=2)
-            widths = rng.integers(1_000, DOMAIN[1] // 2, size=2)
-            boxes.append({"X": (int(lows[0]), int(lows[0] + widths[0])),
-                          "Y": (int(lows[1]), int(lows[1] + widths[1]))})
+    rng = np.random.default_rng(11)
+    boxes = []
+    for __ in range(num_queries):
+        lows = rng.integers(DOMAIN[0], DOMAIN[1] // 2, size=2)
+        widths = rng.integers(1_000, DOMAIN[1] // 2, size=2)
+        boxes.append({"X": (int(lows[0]), int(lows[0] + widths[0])),
+                      "Y": (int(lows[1]), int(lows[1] + widths[1]))})
 
-        def one_pass():
-            before = ARENA.stats()
-            for bounds in boxes:
-                bed.run_md(bounds, update=False)
-            after = ARENA.stats()
-            return {key: after[key] - before[key]
-                    for key in ("takes", "reuses", "allocations", "drops")}
+    def one_pass():
+        before = ARENA.stats()
+        for bounds in boxes:
+            bed.run_md(bounds, update=False)
+        after = ARENA.stats()
+        return {key: after[key] - before[key]
+                for key in ("takes", "reuses", "allocations", "drops")}
 
-        bed.run_md(boxes[0], update=True)  # settle the index once
-        first = one_pass()
-        second = one_pass()
-        return {
-            "pass1_takes": first["takes"],
-            "pass1_allocations": first["allocations"],
-            "pass2_takes": second["takes"],
-            "pass2_allocations": second["allocations"],
-            "pass2_reuses": second["reuses"],
-            "resident_bytes": ARENA.stats()["resident_bytes"],
-        }
-    finally:
-        bed.close()
+    bed.run_md(boxes[0], update=True)  # settle the index once
+    first = one_pass()
+    second = one_pass()
+    return {
+        "pass1_takes": first["takes"],
+        "pass1_allocations": first["allocations"],
+        "pass2_takes": second["takes"],
+        "pass2_allocations": second["allocations"],
+        "pass2_reuses": second["reuses"],
+        "resident_bytes": ARENA.stats()["resident_bytes"],
+    }
 
 
 def _parity_section() -> dict:
-    """The 23455-QPF probe, every mode, cold and warm caches."""
+    """The 23455-QPF probe, cold and warm caches."""
     thresholds = [int(t) for t in distinct_comparison_thresholds(
         PARITY_DOMAIN, PARITY_QUERIES, seed=1)]
     results = {}
-    for mode in MODES:
-        for warm in (False, True):
-            table = uniform_table("t", PARITY_ROWS, ["X"],
-                                  domain=PARITY_DOMAIN, seed=0)
-            bed = Testbed(table, ["X"], seed=7,
-                          column_cache_bytes=None if warm else 0,
-                          **_mode_kwargs(mode))
-            try:
-                if warm:
-                    bed.prime_column_cache("X")
-                for threshold in thresholds:
-                    trapdoor = bed.owner.comparison_trapdoor(
-                        "X", "<", threshold)
-                    bed.prkb["X"].select(trapdoor)
-                label = f"{mode}_{'warm' if warm else 'cold'}"
-                results[label] = {"qpf_uses": bed.counter.qpf_uses}
-            finally:
-                bed.close()
+    for warm in (False, True):
+        table = uniform_table("t", PARITY_ROWS, ["X"],
+                              domain=PARITY_DOMAIN, seed=0)
+        bed = Testbed(table, ["X"], seed=7,
+                      column_cache_bytes=None if warm else 0)
+        if warm:
+            bed.prime_column_cache("X")
+        for threshold in thresholds:
+            trapdoor = bed.owner.comparison_trapdoor("X", "<", threshold)
+            bed.prkb["X"].select(trapdoor)
+        label = f"serial_{'warm' if warm else 'cold'}"
+        results[label] = {"qpf_uses": bed.counter.qpf_uses}
     results["expected"] = {"qpf_uses": EXPECTED_QPF}
     return results
 
@@ -308,7 +278,7 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: {failure}")
     if failures:
         return 1
-    print("OK: parity exact in all modes cold+warm; budgets respected")
+    print("OK: parity exact cold+warm; budgets respected")
     return 0
 
 

@@ -50,7 +50,6 @@ from .edbms import (
     EncryptedTable,
     encrypt_table,
     TrustedMachine,
-    QPFShardPool,
     CrossingLatency,
     QueryProcessingFunction,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "EncryptedTable",
     "encrypt_table",
     "TrustedMachine",
-    "QPFShardPool",
     "CrossingLatency",
     "QueryProcessingFunction",
     "DataOwner",

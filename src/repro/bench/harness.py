@@ -30,7 +30,6 @@ from ..edbms.costs import CostCounter, CostModel, DEFAULT_COST_MODEL
 from ..edbms.owner import DataOwner
 from ..edbms.qpf import (
     CrossingLatency,
-    QPFShardPool,
     QueryProcessingFunction,
     TrustedMachine,
 )
@@ -72,9 +71,7 @@ def bench_seed(default: int = 0) -> int:
 class Measurement:
     """One measured operation: counters, simulated and wall time.
 
-    ``qpf_roundtrips`` / ``parallel_wall_roundtrips`` carry the dual
-    work/critical-path roundtrip accounting (identical without a shard
-    pool); they default to 0 so hand-built fixtures stay terse.
+    ``qpf_roundtrips`` defaults to 0 so hand-built fixtures stay terse.
     """
 
     label: str
@@ -83,7 +80,6 @@ class Measurement:
     wall_ms: float
     result_count: int
     qpf_roundtrips: int = 0
-    parallel_wall_roundtrips: int = 0
 
 
 class Testbed:
@@ -96,10 +92,7 @@ class Testbed:
                  with_log_src_i: bool = False,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  seed: int | None = 0,
-                 qpf_workers: int | None = None,
-                 qpf_worker_mode: str = "thread",
                  qpf_latency: CrossingLatency | None = None,
-                 qpf_min_shard_tuples: int | None = None,
                  column_cache_bytes: int | None = None):
         self.plain = table
         self.owner = DataOwner(key=generate_key(seed))
@@ -108,19 +101,10 @@ class Testbed:
         cache_options = {}
         if column_cache_bytes is not None:
             cache_options["column_cache_bytes"] = column_cache_bytes
-        if qpf_workers is not None:
-            pool_options = dict(cache_options)
-            if qpf_min_shard_tuples is not None:
-                pool_options["min_shard_tuples"] = qpf_min_shard_tuples
-            trusted_machine = QPFShardPool(
-                self.owner.key, self.counter, num_workers=qpf_workers,
-                mode=qpf_worker_mode, latency=qpf_latency, **pool_options)
-        else:
-            trusted_machine = TrustedMachine(self.owner.key, self.counter,
-                                             latency=qpf_latency,
-                                             **cache_options)
-        self._trusted_machine = trusted_machine
-        self.qpf = QueryProcessingFunction(trusted_machine)
+        self._trusted_machine = TrustedMachine(self.owner.key, self.counter,
+                                               latency=qpf_latency,
+                                               **cache_options)
+        self.qpf = QueryProcessingFunction(self._trusted_machine)
         self.table = self.owner.encrypt_table(table)
         self.prkb: dict[str, PRKBIndex] = {}
         for position, attribute in enumerate(indexed_attributes):
@@ -155,14 +139,7 @@ class Testbed:
             wall_ms=wall_ms,
             result_count=count,
             qpf_roundtrips=spent.qpf_roundtrips,
-            parallel_wall_roundtrips=spent.parallel_wall_roundtrips,
         )
-
-    def close(self) -> None:
-        """Release pooled enclave workers, if any (idempotent)."""
-        close = getattr(self._trusted_machine, "close", None)
-        if close is not None:
-            close()
 
     # -- query runners ------------------------------------------------------ #
 
@@ -263,17 +240,12 @@ def build_testbed(table: PlainTable, indexed_attributes: list[str],
                   with_log_src_i: bool = False,
                   warm_up_queries: int = 0,
                   seed: int | None = 0,
-                  qpf_workers: int | None = None,
-                  qpf_worker_mode: str = "thread",
                   qpf_latency: CrossingLatency | None = None,
-                  qpf_min_shard_tuples: int | None = None,
                   column_cache_bytes: int | None = None) -> Testbed:
     """Convenience constructor used by the benchmark files."""
     bed = Testbed(table, indexed_attributes, max_partitions=max_partitions,
                   with_log_src_i=with_log_src_i, seed=seed,
-                  qpf_workers=qpf_workers, qpf_worker_mode=qpf_worker_mode,
                   qpf_latency=qpf_latency,
-                  qpf_min_shard_tuples=qpf_min_shard_tuples,
                   column_cache_bytes=column_cache_bytes)
     if warm_up_queries:
         for attribute in indexed_attributes:

@@ -16,7 +16,6 @@ from .qpf import (
     TrustedMachine,
     QueryProcessingFunction,
     QPFRequest,
-    QPFShardPool,
     CrossingLatency,
 )
 from .batching import QPFBatcher, BatchExecutor, BatchJob, BatchAnswer
@@ -40,7 +39,6 @@ __all__ = [
     "TrustedMachine",
     "QueryProcessingFunction",
     "QPFRequest",
-    "QPFShardPool",
     "CrossingLatency",
     "QPFBatcher",
     "BatchExecutor",

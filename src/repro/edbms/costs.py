@@ -75,15 +75,6 @@ class CostCounter:
     recovery_orphan_repairs:
         What crash recovery did: WAL records re-applied, torn trailing
         bytes discarded, and index/table membership mismatches repaired.
-    parallel_wall_qpf_uses / parallel_wall_roundtrips:
-        *Critical-path* twins of ``qpf_uses``/``qpf_roundtrips``.  The
-        serial counters always record total work (the sum over every
-        shard); the wall counters record the longest single-shard chain:
-        each :class:`~repro.edbms.qpf.QPFShardPool` dispatch adds the
-        **max** over its shards, while an unsharded trusted machine adds
-        the same amount to both.  Without a pool the two pairs are
-        therefore identical; with one, ``serial / wall`` is the achieved
-        parallel speedup on the QPF axis.
     """
 
     qpf_uses: int = 0
@@ -105,8 +96,6 @@ class CostCounter:
     recovery_records_replayed: int = 0
     recovery_torn_bytes: int = 0
     recovery_orphan_repairs: int = 0
-    parallel_wall_qpf_uses: int = 0
-    parallel_wall_roundtrips: int = 0
 
     #: Observability hooks.  ``ClassVar`` keeps them out of the dataclass
     #: field machinery (``reset``/``diff``/``as_dict`` stay pure tallies)
@@ -121,7 +110,7 @@ class CostCounter:
 
     def __post_init__(self):
         # Concurrency plumbing, deliberately outside the dataclass field
-        # machinery: ``_lock`` makes :meth:`charge`/:meth:`merge` atomic
+        # machinery: ``_lock`` makes :meth:`charge` atomic
         # under free-threaded serving, ``_scopes`` holds each thread's
         # stack of active :meth:`measure` tallies.  Plain ``+=`` on a
         # counter field is a LOAD/ADD/STORE sequence that loses updates
@@ -129,14 +118,6 @@ class CostCounter:
         # concurrently-executed path goes through :meth:`charge`.
         self._lock = threading.Lock()
         self._scopes = threading.local()
-
-    def __getstate__(self):
-        # Locks and thread-locals don't pickle; the tallies are the state.
-        return self.as_dict()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def charge(self, **deltas: int) -> None:
         """Atomically add ``deltas`` to the named fields.
@@ -161,10 +142,9 @@ class CostCounter:
 
         ``with counter.measure() as spent: ...`` yields a fresh
         :class:`CostCounter` that accumulates exactly the
-        :meth:`charge`/:meth:`merge` traffic issued *by this thread*
-        (including merges of shard-pool worker counters absorbed on it)
-        while the scope is open.  Scopes nest; each sees the charges of
-        its own extent.  This is the concurrency-exact replacement for
+        :meth:`charge` traffic issued *by this thread* while the scope
+        is open.  Scopes nest; each sees the charges of its own
+        extent.  This is the concurrency-exact replacement for
         the ``snapshot()``/``diff()`` pattern, which under threads
         reports sibling queries' work as one's own.
         """
@@ -195,17 +175,6 @@ class CostCounter:
             f.name: getattr(self, f.name) - getattr(before, f.name)
             for f in fields(self)
         })
-
-    def merge(self, other: "CostCounter") -> None:
-        """Add ``other``'s tallies into this counter in place.
-
-        Atomic, and visible to the calling thread's :meth:`measure`
-        scopes — a shard pool absorbing worker counters on the query
-        thread charges that query's tally, exactly like direct work.
-        """
-        self.charge(**{name: value for name, value in
-                       ((f.name, getattr(other, f.name)) for f in
-                        fields(other)) if value})
 
     def as_dict(self) -> dict:
         """Return the tallies as a plain ``dict`` (for reports)."""
@@ -266,30 +235,6 @@ class CostModel:
     def simulated_millis(self, counter: CostCounter) -> float:
         """Simulated elapsed time in milliseconds (paper plots use ms)."""
         return self.simulated_seconds(counter) * 1e3
-
-    def critical_path_seconds(self, counter: CostCounter) -> float:
-        """Simulated elapsed time along the parallel critical path.
-
-        Identical to :meth:`simulated_seconds` except that the QPF and
-        roundtrip terms are priced from the *wall* counters
-        (``parallel_wall_qpf_uses`` / ``parallel_wall_roundtrips``) — the
-        longest single-shard chain — instead of the serial totals.  The
-        SP-side terms (comparisons, SSE lookups, ...) are not sharded and
-        keep their serial prices.  Equal to :meth:`simulated_seconds`
-        whenever no shard pool is in play.
-        """
-        return (
-            counter.parallel_wall_qpf_uses * self.qpf_cost
-            + counter.sse_lookups * self.sse_lookup_cost
-            + counter.tuples_retrieved * self.tuple_retrieval_cost
-            + counter.comparisons * self.comparison_cost
-            + counter.index_updates * self.index_update_cost
-            + counter.mpc_messages * self.mpc_message_cost
-            + counter.parallel_wall_roundtrips * self.roundtrip_cost
-            + counter.wal_records * self.wal_record_cost
-            + counter.wal_fsyncs * self.fsync_cost
-            + counter.checkpoints_written * self.checkpoint_cost
-        )
 
 
 DEFAULT_COST_MODEL = CostModel()

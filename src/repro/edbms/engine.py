@@ -44,7 +44,6 @@ from .costs import CostCounter, CostModel, DEFAULT_COST_MODEL
 from .owner import DataOwner
 from .qpf import (
     CrossingLatency,
-    QPFShardPool,
     QueryProcessingFunction,
     TrustedMachine,
 )
@@ -82,25 +81,16 @@ class QueryAnswer:
 
 
 class EncryptedDatabase:
-    """One data owner, one service provider, one (or N sharded) enclaves.
+    """One data owner, one service provider, one trusted machine.
 
-    ``qpf_workers=None`` (default) runs the classic single trusted
-    machine.  Any positive count swaps in a
-    :class:`~repro.edbms.qpf.QPFShardPool` of that many worker enclaves
-    (``qpf_worker_mode`` picks threads or processes): answers and
-    ``qpf_uses`` are bit-identical to serial at any worker count, while
-    the counter's ``parallel_wall_*`` twins record the critical path.
     ``qpf_latency`` optionally attaches a
     :class:`~repro.edbms.qpf.CrossingLatency` emulation to every
-    enclave crossing (serial or pooled) for wall-clock studies.
+    enclave crossing for wall-clock studies.
     """
 
     def __init__(self, seed: int | None = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 qpf_workers: int | None = None,
-                 qpf_worker_mode: str = "thread",
                  qpf_latency: CrossingLatency | None = None,
-                 qpf_min_shard_tuples: int | None = None,
                  column_cache_bytes: int | None = None):
         key = generate_key(seed)
         self.owner = DataOwner(key=key)
@@ -108,17 +98,9 @@ class EncryptedDatabase:
         cache_options = {}
         if column_cache_bytes is not None:
             cache_options["column_cache_bytes"] = column_cache_bytes
-        if qpf_workers is not None:
-            pool_options = dict(cache_options)
-            if qpf_min_shard_tuples is not None:
-                pool_options["min_shard_tuples"] = qpf_min_shard_tuples
-            self._trusted_machine = QPFShardPool(
-                key, self.counter, num_workers=qpf_workers,
-                mode=qpf_worker_mode, latency=qpf_latency, **pool_options)
-        else:
-            self._trusted_machine = TrustedMachine(key, self.counter,
-                                                   latency=qpf_latency,
-                                                   **cache_options)
+        self._trusted_machine = TrustedMachine(key, self.counter,
+                                               latency=qpf_latency,
+                                               **cache_options)
         self.qpf = QueryProcessingFunction(self._trusted_machine)
         self.server = ServiceProvider(self.qpf)
         self.cost_model = cost_model
@@ -162,7 +144,7 @@ class EncryptedDatabase:
         Both handles are published on the shared :class:`CostCounter`
         (instance attributes shadowing the ``None`` class defaults), so
         every layer that already holds the counter — PRKB pipelines, the
-        batcher, the shard pool, WAL writers, recovery — starts emitting
+        batcher, the trusted machine, WAL writers, recovery — starts emitting
         spans/metrics with no further wiring.  Until this is called, the
         instrumented hot paths cost one ``is None`` test and allocate
         nothing.  Idempotent: re-enabling returns the existing handles.
@@ -495,12 +477,12 @@ class EncryptedDatabase:
         self.durability.checkpoint_all(self.server)
 
     def close(self) -> None:
-        """Flush durable state and release pooled workers (idempotent).
+        """Drain serving attachments and flush durable state (idempotent).
 
         Serving attachments (session managers, query servers — anything
         registered via :meth:`_attach_serving`) are drained *first*, so
         in-flight queries finish against a live database before the
-        durability manager flushes and the enclave pool is released.
+        durability manager flushes.
         A second ``close()`` — or a close racing another close — is a
         no-op.
         """
@@ -517,9 +499,6 @@ class EncryptedDatabase:
             self._ledger.close()
         if self.durability is not None:
             self.durability.close()
-        close = getattr(self._trusted_machine, "close", None)
-        if close is not None:
-            close()
 
     @property
     def closed(self) -> bool:
@@ -537,14 +516,7 @@ class EncryptedDatabase:
         self._serving.append(attachment)
 
     def column_cache_stats(self) -> dict:
-        """Decrypted-column cache statistics of the trusted machine.
-
-        For a shard pool this sums over the in-process worker caches;
-        process/shm workers keep private caches whose hit/miss/eviction
-        tallies still flow back through the shared :class:`CostCounter`
-        (``column_cache_*`` fields), only their resident bytes are
-        invisible here.
-        """
+        """Decrypted-column cache statistics of the trusted machine."""
         return self._trusted_machine.column_cache_stats()
 
     # -- schema / data ------------------------------------------------------ #

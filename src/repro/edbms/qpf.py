@@ -23,25 +23,15 @@ Two kinds of batching exist and are metered differently:
   shipped in a single crossing.  Still one roundtrip; QPF uses equal the
   total tuple count, exactly as if each request had been sent alone.
 
-Above the single machine sits :class:`QPFShardPool` — N worker trusted
-machines (one enclave each) behind the same Θ interface.  A pooled
-payload is partitioned across the workers and evaluated concurrently;
-``qpf_uses`` stays **exactly** what the serial machine would charge
-(sharding moves tuples between crossings, never duplicates or drops
-them), while the :class:`~repro.edbms.costs.CostCounter` wall twins
-(``parallel_wall_*``) advance by the *max* over shards — the critical
-path.  Optional :class:`CrossingLatency` emulation prices each crossing
-in real sleep time so wall-clock benchmarks observe the parallelism even
+Optional :class:`CrossingLatency` emulation prices each crossing in real
+sleep time, so wall-clock benchmarks see the cost of a crossing even
 when the decrypt work itself is too cheap to measure.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +48,7 @@ from .costs import CostCounter
 from .encryption import EncryptedTable, attribute_key
 
 __all__ = ["TrustedMachine", "QueryProcessingFunction", "QPFRequest",
-           "QPFShardPool", "CrossingLatency", "PredicateLRU", "ColumnCache",
+           "CrossingLatency", "PredicateLRU", "ColumnCache",
            "PREDICATE_CACHE_SIZE", "COLUMN_CACHE_BYTES"]
 
 #: Default bound on the number of unsealed predicates an enclave keeps
@@ -273,13 +263,11 @@ class CrossingLatency:
 
     Real trusted hardware charges a fixed transition price per crossing
     (SGX ecall/ocall, FPGA DMA setup) plus marshalling proportional to
-    the payload.  On the pure-software simulator those costs vanish, so
-    parallel speedups become unmeasurable; attaching a
-    ``CrossingLatency`` to a :class:`TrustedMachine` makes every
-    crossing *sleep* for its modelled duration instead.  Sleeps release
-    the GIL, so a thread-mode :class:`QPFShardPool` overlaps them — the
-    benchmark observes genuine wall-clock parallelism with unchanged
-    accounting.
+    the payload.  On the pure-software simulator those costs vanish;
+    attaching a ``CrossingLatency`` to a :class:`TrustedMachine` makes
+    every crossing *sleep* for its modelled duration instead.  Sleeps
+    release the GIL, so concurrent request threads (the serving bench)
+    overlap them with unchanged accounting.
     """
 
     per_crossing: float = 0.0
@@ -295,10 +283,7 @@ class TrustedMachine:
 
     Only this class (and the data owner) ever touches plaintext.  All
     entry points charge the shared :class:`CostCounter` so benchmarks can
-    meter QPF consumption precisely.  Every crossing advances the wall
-    (critical-path) counters by the same amount as the serial ones — a
-    lone machine *is* its own critical path; only :class:`QPFShardPool`
-    makes the two diverge.
+    meter QPF consumption precisely.
     """
 
     def __init__(self, key: SecretKey, counter: CostCounter | None = None,
@@ -336,8 +321,7 @@ class TrustedMachine:
 
     def _cross(self, tuples: int) -> None:
         """Meter one enclave crossing carrying ``tuples`` tuples."""
-        self.counter.charge(qpf_roundtrips=1, parallel_wall_roundtrips=1,
-                            parallel_wall_qpf_uses=tuples)
+        self.counter.charge(qpf_roundtrips=1)
         if self._latency is not None:
             delay = self._latency.delay(tuples)
             if delay > 0.0:
@@ -527,610 +511,15 @@ def _evaluate_plain(predicate, values: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported predicate type {type(predicate).__name__}")
 
 
-# --------------------------------------------------------------------- #
-# Sharded Θ: a pool of worker trusted machines                           #
-# --------------------------------------------------------------------- #
-
-_PROCESS_MACHINE: TrustedMachine | None = None
-
-
-def _process_shard_init(key: SecretKey, predicate_cache_size: int,
-                        latency: CrossingLatency | None,
-                        column_cache_bytes: int = COLUMN_CACHE_BYTES) -> None:
-    """Process-pool initializer: one private enclave per worker process.
-
-    Each worker enclave carries its own decrypted-column cache; its
-    hit/miss/eviction tallies travel back to the parent inside the
-    per-shard :class:`CostCounter` snapshots.
-    """
-    global _PROCESS_MACHINE
-    _PROCESS_MACHINE = TrustedMachine(
-        key, CostCounter(), predicate_cache_size, latency=latency,
-        column_cache_bytes=column_cache_bytes)
-
-
-def _process_shard_eval(requests: list[QPFRequest]
-                        ) -> tuple[list[np.ndarray], CostCounter]:
-    """Evaluate one shard in a worker process; ship labels + costs back."""
-    assert _PROCESS_MACHINE is not None
-    labels = _PROCESS_MACHINE.evaluate_many(requests)
-    spent = _PROCESS_MACHINE.counter.snapshot()
-    _PROCESS_MACHINE.counter.reset()
-    return labels, spent
-
-
-# -- shared-memory shard mode ------------------------------------------- #
-#
-# ``mode="shm"`` keeps the one-enclave-per-process model of
-# ``mode="process"`` but moves the bulk data out of the pickle stream:
-# the parent republishes each encrypted column (position lookup +
-# ciphertext words) into ``multiprocessing.shared_memory`` once per
-# table version, and each dispatch ships only trapdoors plus
-# (offset, length) slices into a shared uid/label payload block.
-# Workers map the blocks, evaluate in place, and return nothing but a
-# CostCounter snapshot — accounting parity with the serial machine is
-# inherited unchanged from ``TrustedMachine.evaluate_many``.
-
-class _ShmColumnMirror:
-    """Worker-side stand-in for one encrypted column of a table.
-
-    Implements the surface ``TrustedMachine._decrypt_cells`` touches
-    (``.name``, ``.version``, ``ciphertexts_for``, ``positions`` and
-    ``full_column``); the cell nonce is the row uid, as in the real
-    :class:`~.encryption.EncryptedTable`.  Carrying the exported table
-    version lets each worker's decrypted-column cache key warm columns
-    exactly like the parent: a republished (version-bumped) export gets
-    a new mirror, whose first decrypt misses and refills.
-    """
-
-    __slots__ = ("name", "version", "_lookup", "_cipher", "_blocks",
-                 "_uids")
-
-    def __init__(self, name, version, lookup, cipher, blocks):
-        self.name = name
-        self.version = version
-        self._lookup = lookup
-        self._cipher = cipher
-        self._blocks = blocks
-        self._uids = None
-
-    def positions(self, uids: np.ndarray) -> np.ndarray:
-        """Physical positions of the given uids (raises on unknown uid)."""
-        uids = np.asarray(uids, dtype=np.uint64)
-        if uids.size and int(uids.max()) >= self._lookup.size:
-            raise KeyError("unknown uid in shared-memory shard payload")
-        positions = self._lookup[uids]
-        if positions.size and int(positions.min()) < 0:
-            raise KeyError("unknown uid in shared-memory shard payload")
-        return positions
-
-    def ciphertexts_for(self, attribute: str, uids: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        uids = np.asarray(uids, dtype=np.uint64)
-        return self._cipher[self.positions(uids)], uids
-
-    def full_column(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(ciphertext column, nonce uids)`` in position order.
-
-        The export ships only the ``uid -> position`` lookup, so the
-        position-aligned uid array (the cell nonces) is reconstructed
-        once by inverting it and memoised for the mirror's lifetime —
-        one version, one inversion.
-        """
-        if self._uids is None:
-            present = np.flatnonzero(self._lookup >= 0)
-            uids = np.empty(self._cipher.size, dtype=np.uint64)
-            uids[self._lookup[present]] = present.astype(np.uint64)
-            self._uids = uids
-        return self._cipher, self._uids
-
-    def close(self) -> None:
-        # Drop the array views first: SharedMemory refuses to unmap
-        # while buffer exports are alive.
-        self._lookup = None
-        self._cipher = None
-        self._uids = None
-        for block in self._blocks:
-            block.close()
-
-
-def _shm_copy_into(block: shared_memory.SharedMemory,
-                   array: np.ndarray) -> None:
-    """Copy ``array`` into a fresh segment (the view stays local here,
-    so the segment can be unmapped later without live buffer exports)."""
-    np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)[:] = array
-
-
-def _collect_shm_labels(descriptors: list[dict],
-                        labels_blk: shared_memory.SharedMemory,
-                        total: int) -> list[list[np.ndarray]]:
-    """Slice every request's labels back out of the shared block
-    (copied via ``astype``, so the block can be unlinked afterwards)."""
-    labels_all = np.ndarray((total,), dtype=np.uint8, buffer=labels_blk.buf)
-    return [[labels_all[start:stop].astype(bool)
-             for __, __spec, start, stop in descriptor["requests"]]
-            for descriptor in descriptors]
-
-
-def _shm_attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without adopting its lifetime."""
-    block = shared_memory.SharedMemory(name=name)
-    try:
-        # Python <= 3.12 registers attach-only segments with the
-        # resource tracker, which under *spawn* is a per-worker tracker
-        # that would destroy the parent's blocks when the worker exits.
-        # Under fork the tracker is shared with the parent, so the
-        # registration is an idempotent no-op that the parent's unlink
-        # balances — unregistering there would strip the parent's own
-        # entry instead.
-        import multiprocessing
-        from multiprocessing import resource_tracker
-        if multiprocessing.get_start_method(allow_none=True) != "fork":
-            resource_tracker.unregister(block._name, "shared_memory")
-    except Exception:
-        pass
-    return block
-
-
-_SHM_COLUMNS: dict[tuple[str, str], tuple[int, _ShmColumnMirror]] = {}
-
-
-def _shm_mirror(spec: tuple) -> _ShmColumnMirror:
-    """The worker's cached mirror for one exported column version."""
-    (table_name, attribute, version,
-     lookup_name, lookup_len, cipher_name, cipher_len) = spec
-    key = (table_name, attribute)
-    entry = _SHM_COLUMNS.get(key)
-    if entry is not None and entry[0] == version:
-        return entry[1]
-    if entry is not None:
-        entry[1].close()
-    lookup_blk = _shm_attach(lookup_name)
-    cipher_blk = _shm_attach(cipher_name)
-    lookup = np.ndarray((lookup_len,), dtype=np.int64, buffer=lookup_blk.buf)
-    cipher = np.ndarray((cipher_len,), dtype=np.uint64, buffer=cipher_blk.buf)
-    mirror = _ShmColumnMirror(table_name, version, lookup, cipher,
-                              (lookup_blk, cipher_blk))
-    _SHM_COLUMNS[key] = (version, mirror)
-    return mirror
-
-
-def _shm_eval_views(descriptor: dict, uids_buf, labels_buf) -> CostCounter:
-    """Evaluate one shm shard against mapped buffers (views stay local,
-    so they are released before the caller unmaps the segments)."""
-    assert _PROCESS_MACHINE is not None
-    length = descriptor["length"]
-    uids_all = np.ndarray((length,), dtype=np.uint64, buffer=uids_buf)
-    labels_all = np.ndarray((length,), dtype=np.uint8, buffer=labels_buf)
-    requests = [
-        QPFRequest(trapdoor, _shm_mirror(spec), uids_all[start:stop])
-        for trapdoor, spec, start, stop in descriptor["requests"]]
-    labels = _PROCESS_MACHINE.evaluate_many(requests)
-    for (__, __spec, start, stop), part in zip(descriptor["requests"],
-                                               labels):
-        labels_all[start:stop] = part
-    spent = _PROCESS_MACHINE.counter.snapshot()
-    _PROCESS_MACHINE.counter.reset()
-    return spent
-
-
-def _shm_shard_eval(descriptor: dict) -> CostCounter:
-    """Worker entry point for one shm shard: map, evaluate, unmap."""
-    uids_blk = _shm_attach(descriptor["uids"])
-    labels_blk = _shm_attach(descriptor["labels"])
-    try:
-        return _shm_eval_views(descriptor, uids_blk.buf, labels_blk.buf)
-    finally:
-        uids_blk.close()
-        labels_blk.close()
-
-
-class QPFShardPool:
-    """N worker trusted machines answering one Θ payload in parallel.
-
-    Drop-in for :class:`TrustedMachine` behind
-    :class:`QueryProcessingFunction`: same ``evaluate`` /
-    ``evaluate_batch`` / ``evaluate_many`` surface, same shared
-    :class:`CostCounter`.  Each worker is a full machine with its own
-    predicate registers; a payload is partitioned across them
-    (contiguous chunks for a homogeneous batch, deterministic
-    longest-processing-time assignment for a heterogeneous
-    ``evaluate_many`` list) and the per-shard costs are folded back in
-    two ways:
-
-    * serial counters (``qpf_uses``, ``qpf_roundtrips``, ...) get the
-      **sum** over shards — total work, so ``qpf_uses`` parity with an
-      unsharded machine is *exact* at any worker count (sharding moves
-      tuples between crossings, never duplicates or drops them);
-    * the wall twins (``parallel_wall_qpf_uses`` /
-      ``parallel_wall_roundtrips``) get the **max** over shards — the
-      critical path an ideal N-wide deployment would wait on.
-
-    ``mode="thread"`` (default) keeps workers in-process; the numpy
-    decrypt kernels and any :class:`CrossingLatency` sleeps release the
-    GIL, so shards genuinely overlap.  ``mode="process"`` forks one
-    enclave per worker process for fully GIL-free evaluation; payloads
-    are pickled across, so it pays per-call shipping costs and is the
-    right trade only for large payloads.  ``mode="shm"`` is the
-    process mode with the pickling removed: encrypted columns are
-    republished once per table version into
-    ``multiprocessing.shared_memory`` and each dispatch ships only
-    trapdoors plus offsets into a shared uid/label payload block, so
-    steady-state dispatch cost is independent of tuple count.
-
-    With ``num_workers=1`` every code path degenerates to the serial
-    machine (same chunks, same crossings, same counters).
-    """
-
-    def __init__(self, key: SecretKey, counter: CostCounter | None = None,
-                 num_workers: int = 2, mode: str = "thread",
-                 predicate_cache_size: int = PREDICATE_CACHE_SIZE,
-                 latency: CrossingLatency | None = None,
-                 min_shard_tuples: int = 64,
-                 column_cache_bytes: int = COLUMN_CACHE_BYTES):
-        if num_workers < 1:
-            raise ValueError("num_workers must be positive")
-        if mode not in ("thread", "process", "shm"):
-            raise ValueError(f"unknown mode {mode!r}; "
-                             "expected 'thread', 'process' or 'shm'")
-        if min_shard_tuples < 1:
-            raise ValueError("min_shard_tuples must be positive")
-        self.counter = counter if counter is not None else CostCounter()
-        self.num_workers = num_workers
-        self.mode = mode
-        self.min_shard_tuples = min_shard_tuples
-        self._lock = threading.Lock()
-        self._key = key
-        self._predicate_cache_size = predicate_cache_size
-        self._latency = latency
-        self._column_cache_bytes = column_cache_bytes
-        self._workers = [
-            TrustedMachine(key, CostCounter(), predicate_cache_size,
-                           latency=latency,
-                           column_cache_bytes=column_cache_bytes)
-            for _ in range(num_workers)
-        ]
-        self._thread_executor: ThreadPoolExecutor | None = None
-        self._process_executor: ProcessPoolExecutor | None = None
-        # mode="shm": (table, attribute) -> (version, worker spec,
-        # owned SharedMemory blocks) for every column republished to
-        # the worker processes.
-        self._shm_exports: dict[tuple[str, str], tuple[int, tuple, tuple]] \
-            = {}
-
-    # -- executors (lazy, so an unused mode costs nothing) --------------- #
-
-    def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_executor is None:
-            self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="qpf-shard")
-        return self._thread_executor
-
-    def _processes(self) -> ProcessPoolExecutor:
-        if self._process_executor is None:
-            self._process_executor = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=_process_shard_init,
-                initargs=(self._key, self._predicate_cache_size,
-                          self._latency, self._column_cache_bytes))
-        return self._process_executor
-
-    def close(self) -> None:
-        """Shut the worker executors down; release shm exports
-        (idempotent)."""
-        if self._thread_executor is not None:
-            self._thread_executor.shutdown(wait=True)
-            self._thread_executor = None
-        if self._process_executor is not None:
-            self._process_executor.shutdown(wait=True)
-            self._process_executor = None
-        for __, __spec, blocks in self._shm_exports.values():
-            for block in blocks:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-        self._shm_exports.clear()
-
-    # -- cost folding ----------------------------------------------------- #
-
-    def _absorb(self, spent: list[CostCounter]) -> None:
-        """Fold shard costs into the shared counter: sum work, max wall."""
-        wall_uses = 0
-        wall_roundtrips = 0
-        for shard in spent:
-            wall_uses = max(wall_uses, shard.parallel_wall_qpf_uses)
-            wall_roundtrips = max(wall_roundtrips,
-                                  shard.parallel_wall_roundtrips)
-            shard.parallel_wall_qpf_uses = 0
-            shard.parallel_wall_roundtrips = 0
-            self.counter.merge(shard)
-        self.counter.charge(parallel_wall_qpf_uses=wall_uses,
-                            parallel_wall_roundtrips=wall_roundtrips)
-
-    def _drain_worker(self, worker: TrustedMachine) -> CostCounter:
-        spent = worker.counter.snapshot()
-        worker.counter.reset()
-        return spent
-
-    # -- decrypted-column cache ------------------------------------------- #
-
-    def prime_column(self, table, attribute: str) -> bool:
-        """Warm every *in-process* worker's decrypted-column cache.
-
-        Thread-mode shards (and the first worker, which also answers
-        small payloads in every mode) are filled directly; process/shm
-        worker enclaves are out of reach from here and warm themselves
-        on their first decrypt of the column.  Spends zero QPF; returns
-        whether at least one cache now holds the column.
-        """
-        primed = False
-        for worker in self._workers:
-            primed = worker.prime_column(table, attribute) or primed
-        return primed
-
-    def column_cache_stats(self) -> dict:
-        """Aggregate :meth:`ColumnCache.stats` over in-process workers.
-
-        Tallies and residency are summed across the pool's thread-mode
-        machines; ``budget_bytes`` is per worker, not a pool total.
-        Process/shm worker enclaves only report their tallies through
-        the shared :class:`CostCounter` (``column_cache_*`` fields) —
-        their residency is not visible from the parent.
-        """
-        totals: dict = {}
-        for worker in self._workers:
-            for key, value in worker.column_cache_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        totals["budget_bytes"] = self._column_cache_bytes
-        totals["workers"] = len(self._workers)
-        return totals
-
-    # -- shared-memory column exports (mode="shm") ------------------------ #
-
-    def _export_column(self, table, attribute: str) -> tuple:
-        """Publish (or reuse) the shm export of one encrypted column.
-
-        One pair of segments per ``(table, attribute, version)``; a
-        version bump republishes and unlinks the stale pair (workers
-        still mapping it keep their view until they swap — unlink only
-        removes the name).
-        """
-        key = (table.name, attribute)
-        version = table.version
-        entry = self._shm_exports.get(key)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        if entry is not None:
-            for block in entry[2]:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-        lookup, cipher = table.column_store(attribute)
-        lookup_blk = shared_memory.SharedMemory(
-            create=True, size=max(8, lookup.nbytes))
-        cipher_blk = shared_memory.SharedMemory(
-            create=True, size=max(8, cipher.nbytes))
-        _shm_copy_into(lookup_blk, lookup)
-        _shm_copy_into(cipher_blk, cipher)
-        spec = (table.name, attribute, version,
-                lookup_blk.name, int(lookup.size),
-                cipher_blk.name, int(cipher.size))
-        self._shm_exports[key] = (version, spec, (lookup_blk, cipher_blk))
-        return spec
-
-    def _run_shm_shards(self, work: list[list[QPFRequest]]
-                        ) -> list[list[np.ndarray]]:
-        """Dispatch shards through shared payload blocks; fold costs."""
-        total = sum(int(r.uids.size) for payload in work for r in payload)
-        uids_blk = shared_memory.SharedMemory(create=True,
-                                              size=max(8, total * 8))
-        labels_blk = shared_memory.SharedMemory(create=True,
-                                                size=max(1, total))
-        try:
-            descriptors = self._stage_shm_payload(work, uids_blk,
-                                                  labels_blk, total)
-            futures = [self._processes().submit(_shm_shard_eval, descriptor)
-                       for descriptor in descriptors]
-            spent = [future.result() for future in futures]
-            parts = _collect_shm_labels(descriptors, labels_blk, total)
-            self._absorb(spent)
-            return parts
-        finally:
-            uids_blk.close()
-            uids_blk.unlink()
-            labels_blk.close()
-            labels_blk.unlink()
-
-    def _stage_shm_payload(self, work, uids_blk, labels_blk,
-                           total: int) -> list[dict]:
-        """Write every shard's uids into the payload block and build the
-        per-shard worker descriptors (views stay local to this frame)."""
-        uids_all = np.ndarray((total,), dtype=np.uint64, buffer=uids_blk.buf)
-        descriptors = []
-        offset = 0
-        for payload in work:
-            specs = []
-            for request in payload:
-                count = int(request.uids.size)
-                uids_all[offset:offset + count] = request.uids
-                specs.append((request.trapdoor,
-                              self._export_column(
-                                  request.table,
-                                  request.trapdoor.attribute),
-                              offset, offset + count))
-                offset += count
-            descriptors.append({"uids": uids_blk.name,
-                                "labels": labels_blk.name,
-                                "length": total,
-                                "requests": specs})
-        return descriptors
-
-    # -- Θ surface -------------------------------------------------------- #
-
-    def evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
-                 uid: int) -> bool:
-        """Θ for a single tuple — never worth sharding."""
-        return bool(
-            self.evaluate_batch(trapdoor, table,
-                                np.asarray([uid], dtype=np.uint64))[0]
-        )
-
-    def evaluate_batch(self, trapdoor: EncryptedPredicate,
-                       table: EncryptedTable,
-                       uids: np.ndarray) -> np.ndarray:
-        """Θ over one homogeneous batch, chunked across the workers.
-
-        ``len(uids)`` QPF uses exactly, as serial; each non-empty chunk
-        is one crossing, and the wall counters advance by the largest
-        chunk only.
-        """
-        uids = np.asarray(uids, dtype=np.uint64)
-        chunk_count = max(1, min(self.num_workers,
-                                 int(uids.size) // self.min_shard_tuples))
-        if uids.size == 0 or chunk_count == 1:
-            with self._lock:
-                labels = self._workers[0].evaluate_batch(trapdoor, table,
-                                                         uids)
-                self._absorb([self._drain_worker(self._workers[0])])
-            return labels
-        requests = [QPFRequest(trapdoor, table, chunk)
-                    for chunk in np.array_split(uids, chunk_count)]
-        shards = [[i] for i in range(len(requests))]
-        parts = self._dispatch(requests, shards)
-        return np.concatenate([part[0] for part in parts])
-
-    def evaluate_many(self, requests: Sequence[QPFRequest]
-                      ) -> list[np.ndarray]:
-        """Θ over a heterogeneous payload, sharded across the workers.
-
-        QPF uses equal the total tuple count — identical to the serial
-        machine.  Each non-empty shard is one crossing (so the serial
-        roundtrip total records the extra work of fanning out), while
-        the wall counters advance by the busiest shard only.
-        """
-        requests = list(requests)
-        total = sum(int(r.uids.size) for r in requests)
-        if total == 0 or self.num_workers == 1 \
-                or total < 2 * self.min_shard_tuples:
-            with self._lock:
-                labels = self._workers[0].evaluate_many(requests)
-                self._absorb([self._drain_worker(self._workers[0])])
-            return labels
-        shards = self._shard_requests(requests)
-        parts = self._dispatch(requests, shards)
-        labels: list[np.ndarray | None] = [None] * len(requests)
-        for shard, part in zip([s for s in shards if s], parts):
-            for position, result in zip(shard, part):
-                labels[position] = result
-        return labels  # type: ignore[return-value]
-
-    def _shard_requests(self, requests: list[QPFRequest]
-                        ) -> list[list[int]]:
-        """Deterministic LPT assignment of request indices to workers.
-
-        Largest payload first onto the least-loaded shard (ties broken
-        by shard number), each shard keeping its requests in original
-        submission order — balanced and fully reproducible.
-        """
-        order = sorted(range(len(requests)),
-                       key=lambda i: (-int(requests[i].uids.size), i))
-        loads = [0] * self.num_workers
-        shards: list[list[int]] = [[] for _ in range(self.num_workers)]
-        for position in order:
-            worker = loads.index(min(loads))
-            shards[worker].append(position)
-            loads[worker] += int(requests[position].uids.size)
-        return [sorted(shard) for shard in shards]
-
-    def _dispatch(self, requests: list[QPFRequest],
-                  shards: list[list[int]]) -> list[list[np.ndarray]]:
-        """Run each non-empty shard on its worker; fold the costs back."""
-        work = [[requests[i] for i in shard] for shard in shards if shard]
-        tracer = self.counter.tracer
-        with self._lock:
-            if self.mode == "shm":
-                if tracer is None:
-                    return self._run_shm_shards(work)
-                with tracer.span(
-                        "qpf.dispatch", mode="shm", shards=len(work),
-                        tuples=int(sum(r.uids.size for r in requests))):
-                    return self._run_shm_shards(work)
-            if self.mode == "process":
-                if tracer is None:
-                    futures = [
-                        self._processes().submit(_process_shard_eval,
-                                                 payload)
-                        for payload in work
-                    ]
-                    outcomes = [future.result() for future in futures]
-                else:
-                    # Worker processes can't reach the tracer; one span
-                    # covers the whole fan-out from this side.
-                    with tracer.span(
-                            "qpf.dispatch", mode="process",
-                            shards=len(work),
-                            tuples=int(sum(r.uids.size for r in requests))):
-                        futures = [
-                            self._processes().submit(_process_shard_eval,
-                                                     payload)
-                            for payload in work
-                        ]
-                        outcomes = [future.result() for future in futures]
-                self._absorb([spent for _, spent in outcomes])
-                return [labels for labels, _ in outcomes]
-            if tracer is None:
-                run = [worker.evaluate_many
-                       for worker, _ in zip(self._workers, work)]
-            else:
-                # Capture the dispatching thread's span now: the worker
-                # threads have empty stacks, so the shard spans must be
-                # parented explicitly to land under the right query.
-                parent = tracer.current()
-
-                def _shard_runner(worker, shard_no):
-                    def run_shard(payload):
-                        span = tracer.begin(
-                            "qpf.shard", parent=parent, shard=shard_no,
-                            requests=len(payload),
-                            tuples=int(sum(r.uids.size for r in payload)))
-                        try:
-                            return worker.evaluate_many(payload)
-                        finally:
-                            tracer.finish(span)
-                    return run_shard
-
-                run = [_shard_runner(worker, shard_no)
-                       for shard_no, (worker, _)
-                       in enumerate(zip(self._workers, work))]
-            # The first shard runs on the calling thread — one fewer
-            # thread hop per dispatch; the others overlap it.
-            futures = [
-                self._threads().submit(fn, payload)
-                for fn, payload in zip(run[1:], work[1:])
-            ]
-            parts = [run[0](work[0])]
-            parts.extend(future.result() for future in futures)
-            self._absorb([self._drain_worker(worker)
-                          for worker, _ in zip(self._workers, work)])
-            return parts
-
-
 class QueryProcessingFunction:
     """The server-side handle to Θ.
 
     A thin façade over the trusted machine: this is the *only* object the
     service provider holds that can touch plaintext, and its interface is
-    restricted to 0/1 predicate outputs, matching the QPF model.  The
-    backing oracle may equally be a single :class:`TrustedMachine` or a
-    :class:`QPFShardPool` — the façade is agnostic.
+    restricted to 0/1 predicate outputs, matching the QPF model.
     """
 
-    def __init__(self, trusted_machine: "TrustedMachine | QPFShardPool"):
+    def __init__(self, trusted_machine: TrustedMachine):
         self._tm = trusted_machine
 
     @property

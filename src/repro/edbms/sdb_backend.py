@@ -255,8 +255,6 @@ class MPCQueryProcessingFunction:
         if uids.size == 0:
             return np.zeros(0, dtype=bool)
         self.counter.qpf_roundtrips += 1
-        self.counter.parallel_wall_roundtrips += 1
-        self.counter.parallel_wall_qpf_uses += int(uids.size)
         predicate = self._plain_predicate(trapdoor)
         values = self._recover_values(table, trapdoor.attribute, uids)
         return _evaluate_plain(predicate, values)
@@ -275,8 +273,6 @@ class MPCQueryProcessingFunction:
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
         self.counter.qpf_roundtrips += 1
-        self.counter.parallel_wall_roundtrips += 1
-        self.counter.parallel_wall_qpf_uses += total
         results = []
         for request in requests:
             if request.uids.size == 0:

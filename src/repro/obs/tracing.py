@@ -19,10 +19,10 @@ Design constraints, in order:
    per-phase meter instead, via :meth:`Span.record` — so per-phase
    ``qpf_uses`` sums exactly to the global counter, with no
    double-count across concurrent queries.
-3. **Worker threads attach to the right query.**  ``tracer.span(...)``
-   nests via a thread-local stack; cross-thread work (shard pool
-   workers) passes ``parent=`` explicitly so the span lands under the
-   dispatching query regardless of which thread runs it.
+3. **Interleaved work attaches to the right query.**  ``tracer.span(...)``
+   nests via a thread-local stack; work that does not run inside its
+   query's ``with`` block (the batched generator protocol) passes
+   ``parent=`` explicitly so the span lands under the right query.
 
 Spans land in a bounded ring buffer (``capacity`` spans, oldest
 evicted) and export as plain JSON dicts or Chrome ``chrome://tracing``
@@ -49,7 +49,7 @@ class Span:
 
     ``cost`` maps counter-field names to integers attributed to exactly
     this span (not including children); ``attrs`` is free-form context
-    (SQL text, shard number, payload size).
+    (SQL text, payload size).
     """
 
     __slots__ = ("name", "span_id", "parent_id", "trace_id", "start",
@@ -166,8 +166,8 @@ class Tracer:
               trace_id: int | None = None, **attrs) -> Span:
         """Start a span without touching the thread-local stack.
 
-        For cross-thread spans (shard workers) and generator-driven
-        phases whose enter/exit do not bracket a ``with`` block.
+        For generator-driven phases whose enter/exit do not bracket a
+        ``with`` block.
         ``parent`` defaults to the calling thread's current span
         (:data:`INHERIT`); pass a span explicitly for cross-thread
         attachment, or ``None`` to start a fresh root/trace.

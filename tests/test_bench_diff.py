@@ -154,6 +154,20 @@ class TestExitCodes:
         result = self._run(tmp_path, {"a": 1}, {"b": 2})
         assert result.returncode == 1
 
+    def test_missing_qpf_key_is_fatal(self, tmp_path):
+        baseline = {"serial": {"qpf_uses": 100},
+                    "shard_thread": {"qpf_uses": 100}}
+        result = self._run(tmp_path, baseline,
+                           {"serial": {"qpf_uses": 100}},
+                           "--threshold", "0")
+        assert result.returncode == 1
+        assert "shard_thread.qpf_uses missing" in result.stdout
+
+    def test_missing_info_key_is_not_fatal(self, tmp_path):
+        result = self._run(tmp_path, {"qpf_uses": 100, "records": 3},
+                           {"qpf_uses": 100}, "--threshold", "0")
+        assert result.returncode == 0, result.stdout
+
 
 class TestFloors:
     def test_floor_holding_passes(self):

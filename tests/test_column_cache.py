@@ -8,10 +8,8 @@ both the plan cache and the column cache.
 """
 
 import numpy as np
-import pytest
 
 from repro import EncryptedDatabase
-from repro.bench import Testbed
 from repro.edbms.costs import CostCounter
 from repro.edbms.owner import DataOwner
 from repro.edbms.qpf import (
@@ -180,38 +178,6 @@ class TestEvictionPressure:
                 stats = machine.column_cache_stats()
                 assert stats["resident_bytes"] <= stats["budget_bytes"]
         assert machine.counter.column_cache_evictions > 0
-
-
-class TestShardPoolModes:
-    @pytest.mark.parametrize("mode", ["thread", "process", "shm"])
-    def test_pool_warm_matches_serial_cold(self, mode):
-        table = uniform_table("t", 300, ["X"], domain=(1, 10_000), seed=9)
-        serial = Testbed(table, ["X"], seed=9, column_cache_bytes=0)
-        pooled = Testbed(table, ["X"], seed=9, qpf_workers=2,
-                         qpf_worker_mode=mode)
-        try:
-            pooled.prime_column_cache("X")
-            for constant in (2500, 5000, 7500):
-                trapdoor = serial.owner.comparison_trapdoor("X", "<",
-                                                            constant)
-                want = serial.qpf.batch(trapdoor, serial.table,
-                                        table.uids)
-                got = pooled.qpf.batch(trapdoor, pooled.table, table.uids)
-                assert np.array_equal(got, want)
-            assert pooled.counter.qpf_uses == serial.counter.qpf_uses
-        finally:
-            pooled.close()
-            serial.close()
-
-    def test_pool_stats_aggregate_workers(self):
-        table = uniform_table("t", 100, ["X"], domain=(1, 1000), seed=2)
-        bed = Testbed(table, ["X"], seed=2, qpf_workers=2)
-        try:
-            stats = bed.column_cache_stats()
-            assert stats["workers"] == 2
-            assert stats["budget_bytes"] == COLUMN_CACHE_BYTES
-        finally:
-            bed.close()
 
 
 class TestEngineStaleReadRegression:

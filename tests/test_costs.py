@@ -29,14 +29,6 @@ class TestCostCounter:
         assert spent.tuples_retrieved == 3
         assert spent.sse_lookups == 0
 
-    def test_merge(self):
-        a = CostCounter(qpf_uses=1, comparisons=2)
-        b = CostCounter(qpf_uses=10, index_updates=4)
-        a.merge(b)
-        assert a.qpf_uses == 11
-        assert a.comparisons == 2
-        assert a.index_updates == 4
-
     def test_as_dict(self):
         counter = CostCounter(qpf_uses=3)
         d = counter.as_dict()
@@ -51,9 +43,7 @@ class TestCostCounter:
                           "checkpoints_written",
                           "recovery_records_replayed",
                           "recovery_torn_bytes",
-                          "recovery_orphan_repairs",
-                          "parallel_wall_qpf_uses",
-                          "parallel_wall_roundtrips"}
+                          "recovery_orphan_repairs"}
 
 
 class TestCostModel:

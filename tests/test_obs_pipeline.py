@@ -1,9 +1,8 @@
-"""Span trees across the execution stack: batching, shard pool, durability.
+"""Span trees across the execution stack: batching and durability.
 
-Tracer correctness under the *interleaved* paths — execute_many drives
-many PRKB pipelines in lock step, the shard pool runs QPF on worker
-threads — where naive counter-delta attribution would double-count or
-attach spans to the wrong query.
+Tracer correctness under the *interleaved* path — execute_many drives
+many PRKB pipelines in lock step — where naive counter-delta
+attribution would double-count or attach spans to the wrong query.
 """
 
 import numpy as np
@@ -21,8 +20,8 @@ def _column(n=400, seed=0):
     return rng.integers(DOMAIN[0], DOMAIN[1] + 1, n)
 
 
-def _database(**kwargs):
-    db = EncryptedDatabase(seed=0, **kwargs)
+def _database():
+    db = EncryptedDatabase(seed=0)
     db.create_table("t", {"X": DOMAIN}, {"X": _column()})
     db.enable_prkb("t", ["X"])
     return db
@@ -77,39 +76,6 @@ class TestExecuteManyTree:
         assert alias.attrs["source"] == answers[0].query_id
         assert answers[2].qpf_uses == 0
         assert np.array_equal(answers[2].uids, answers[0].uids)
-
-
-class TestShardPoolSpans:
-    def test_worker_spans_attach_to_the_dispatching_query(self):
-        db = _database(qpf_workers=2, qpf_min_shard_tuples=1)
-        try:
-            tracer, __ = db.enable_observability()
-            answer = db.query("SELECT * FROM t WHERE X < 5000")
-            shards = tracer.spans(name="qpf.shard")
-            assert len(shards) >= 2
-            for shard in shards:
-                assert shard.trace_id == answer.query_id
-                assert shard.parent_id is not None
-                # Shards time the fan-out but never carry qpf cost — the
-                # logical phase meter owns attribution.
-                assert not shard.cost
-            # The pool really fanned out: not all shards on one thread.
-            assert len({s.thread for s in shards}) >= 2
-        finally:
-            db.close()
-
-    def test_shard_tracing_does_not_change_qpf(self):
-        plain = _database(qpf_workers=2, qpf_min_shard_tuples=1)
-        traced = _database(qpf_workers=2, qpf_min_shard_tuples=1)
-        try:
-            traced.enable_observability()
-            sql = "SELECT * FROM t WHERE X < 5000"
-            a, b = plain.query(sql), traced.query(sql)
-            assert a.qpf_uses == b.qpf_uses
-            assert np.array_equal(a.uids, b.uids)
-        finally:
-            plain.close()
-            traced.close()
 
 
 class TestDurabilitySpans:

@@ -8,9 +8,10 @@ with hypothesis:
   with actual :class:`Partition` membership across arbitrary interleaved
   split / merge / insert / delete sequences — the incremental slot
   bookkeeping must never drift from the chain; and
-* :class:`ChainView` snapshots are *set-stable*: while a shard pool is
-  reading a window's payloads on worker threads, concurrent splits of
-  the live chain never change which uids any snapshot slice contains.
+* :class:`ChainView` snapshots are *set-stable*: while the trusted
+  machine is reading a window's payloads on a reader thread, concurrent
+  splits of the live chain never change which uids any snapshot slice
+  contains.
 """
 
 import threading
@@ -21,11 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench import Testbed
 from repro.core.partitions import PartialOrderPartitions
 from repro.edbms.costs import CostCounter
-from repro.edbms.qpf import (
-    CrossingLatency,
-    QPFRequest,
-    QPFShardPool,
-)
+from repro.edbms.qpf import CrossingLatency, QPFRequest, TrustedMachine
 from repro.workloads import uniform_table
 
 from conftest import plain_lookup
@@ -97,7 +94,7 @@ def test_ordinal_array_tracks_membership(ops):
                      min_size=1, max_size=8),
        threshold=st.integers(5_000, 95_000))
 @settings(max_examples=10, deadline=None)
-def test_chain_view_set_stable_under_concurrent_pool_reads(plan, threshold):
+def test_chain_view_set_stable_under_concurrent_reads(plan, threshold):
     table = uniform_table("t", 240, ["X"], domain=(1, 100_000), seed=41)
     bed = Testbed(table, ["X"], seed=41)
     bed.warm_up("X", 6, seed=42)
@@ -112,36 +109,35 @@ def test_chain_view_set_stable_under_concurrent_pool_reads(plan, threshold):
     # (np.unique); the enclave never reads the live buffer directly.
     trapdoor = bed.owner.comparison_trapdoor("X", "<", threshold)
     requests = [QPFRequest(trapdoor, bed.table, s.copy()) for s in slices]
-    pool = QPFShardPool(bed.owner.key, CostCounter(), num_workers=3,
-                        min_shard_tuples=2,
-                        latency=CrossingLatency(per_crossing=2e-3))
+    # The emulated crossing latency keeps the reader inside the enclave
+    # (one crossing per payload) while the splits below run.
+    machine = TrustedMachine(bed.owner.key, CostCounter(),
+                             latency=CrossingLatency(per_crossing=2e-3))
     labels_box: dict[str, list] = {}
 
     def drain():
-        labels_box["labels"] = pool.evaluate_many(requests)
+        labels_box["labels"] = [machine.evaluate_many([request])[0]
+                                for request in requests]
 
     reader = threading.Thread(target=drain)
-    try:
-        reader.start()
-        # Concurrently split the live chain (structural splits only; the
-        # snapshot guarantee is purely set-theoretic).
-        for a, b in plan:
-            splittable = [i for i, size in enumerate(pop.sizes())
-                          if size >= 2]
-            if not splittable:
-                break
-            index = splittable[a % len(splittable)]
-            members = pop[index].uids.copy()
-            cut = 1 + b % (members.size - 1)
-            pop.split(index, members[:cut], members[cut:])
-        reader.join()
-    finally:
-        pool.close()
+    reader.start()
+    # Concurrently split the live chain (structural splits only; the
+    # snapshot guarantee is purely set-theoretic).
+    for a, b in plan:
+        splittable = [i for i, size in enumerate(pop.sizes())
+                      if size >= 2]
+        if not splittable:
+            break
+        index = splittable[a % len(splittable)]
+        members = pop[index].uids.copy()
+        cut = 1 + b % (members.size - 1)
+        pop.split(index, members[:cut], members[cut:])
+    reader.join()
 
     # 1. Every snapshot slice still holds exactly its original uid set.
     for view_slice, want in zip(slices, fingerprints):
         assert frozenset(int(u) for u in view_slice) == want
-    # 2. The pooled labels match the plaintext oracle for each payload.
+    # 2. The reader's labels match the plaintext oracle for each payload.
     value_of = plain_lookup(bed, "X")
     for request, labels in zip(requests, labels_box["labels"]):
         want = np.asarray([value_of(int(u)) < threshold

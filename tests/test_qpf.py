@@ -8,6 +8,7 @@ from repro.edbms import (
     AttributeSpec,
     CostCounter,
     PlainTable,
+    QPFRequest,
     QueryProcessingFunction,
     Schema,
     TrustedMachine,
@@ -88,3 +89,34 @@ class TestQpfAccounting:
         qpf.batch(trapdoor, enc, plain.uids)
         qpf.batch(trapdoor, enc, plain.uids)
         assert counter.qpf_uses == 2 * plain.num_rows
+
+
+class TestEvaluateMany:
+    def test_evaluate_many_preserves_request_order(self, setup):
+        owner, plain, enc, qpf, counter = setup
+        below = owner.comparison_trapdoor("X", "<", 40)
+        above = owner.comparison_trapdoor("X", ">", 70)
+        rng = np.random.default_rng(7)
+        requests = [
+            QPFRequest(below if size % 2 else above, enc,
+                       rng.choice(plain.uids, size=size, replace=False))
+            for size in (1, 7, 12, 4, 3)]
+        want = [qpf.batch(r.trapdoor, enc, r.uids) for r in requests]
+        counter.reset()
+        got = qpf.batch_many(requests)
+        assert len(got) == len(want)
+        for want_labels, got_labels in zip(want, got):
+            assert np.array_equal(want_labels, got_labels)
+        assert counter.qpf_uses == sum(r.uids.size for r in requests)
+        assert counter.qpf_roundtrips == 1
+
+    def test_empty_payload(self, setup):
+        owner, __, enc, qpf, counter = setup
+        trapdoor = owner.comparison_trapdoor("X", "<", 30)
+        empty = np.zeros(0, dtype=np.uint64)
+        counter.reset()
+        assert qpf.batch_many([]) == []
+        labels = qpf.batch_many([QPFRequest(trapdoor, enc, empty)] * 2)
+        assert [part.size for part in labels] == [0, 0]
+        assert counter.qpf_uses == 0
+        assert counter.qpf_roundtrips == 0

@@ -182,23 +182,6 @@ class TestCounterMeasure:
         assert outer.qpf_uses == 3
         assert counter.qpf_uses == 3
 
-    def test_merge_mirrors_into_measure_scope(self):
-        counter = CostCounter()
-        shard = CostCounter(qpf_uses=7, comparisons=3)
-        with counter.measure() as tally:
-            counter.merge(shard)
-        assert tally.qpf_uses == 7 and tally.comparisons == 3
-        assert counter.qpf_uses == 7
-
-    def test_counter_pickles_without_lock_state(self):
-        import pickle
-
-        counter = CostCounter(qpf_uses=5)
-        clone = pickle.loads(pickle.dumps(counter))
-        assert clone.qpf_uses == 5
-        clone.charge(qpf_uses=1)  # lock machinery was rebuilt
-        assert clone.qpf_uses == 6
-
 
 class TestPartitionRebuildLock:
     def test_concurrent_freeze_is_consistent(self):
