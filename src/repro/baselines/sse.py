@@ -86,7 +86,7 @@ class SSEIndex:
         record = self._encrypt_record(words)
         serial = int(record[0])
         self._postings.setdefault(token, {})[serial] = record
-        self.counter.index_updates += 1
+        self.counter.charge(index_updates=1)
         return serial
 
     def add_bulk(self, items: list[tuple[bytes, tuple[int, int, int]]]
@@ -126,7 +126,7 @@ class SSEIndex:
                 token_cache[keyword] = token
             self._postings.setdefault(token, {})[int(serials[row])] = \
                 records[row]
-        self.counter.index_updates += count
+        self.counter.charge(index_updates=count)
         return serials
 
     def remove_serial(self, keyword: bytes, serial: int) -> bool:
@@ -138,7 +138,7 @@ class SSEIndex:
         del postings[serial]
         if not postings:
             del self._postings[token]
-        self.counter.index_updates += 1
+        self.counter.charge(index_updates=1)
         return True
 
     def remove(self, keyword: bytes, first_word: int) -> int:
@@ -161,16 +161,15 @@ class SSEIndex:
             del postings[serial]
         if not postings:
             del self._postings[token]
-        self.counter.index_updates += len(doomed)
+        self.counter.charge(index_updates=len(doomed))
         return len(doomed)
 
     # -- server-side search ----------------------------------------------------- #
 
     def search(self, token: bytes) -> list[np.ndarray]:
         """Encrypted postings for a token — one SSE lookup."""
-        self.counter.sse_lookups += 1
         postings = self._postings.get(token, {})
-        self.counter.tuples_retrieved += len(postings)
+        self.counter.charge(sse_lookups=1, tuples_retrieved=len(postings))
         return list(postings.values())
 
     # -- trusted-machine decryption ----------------------------------------------- #
@@ -178,7 +177,7 @@ class SSEIndex:
     def open_records(self, records: list[np.ndarray]
                      ) -> list[tuple[int, int, int]]:
         """Decrypt retrieved records (TM side); QPF-like cost per record."""
-        self.counter.qpf_uses += len(records)
+        self.counter.charge(qpf_uses=len(records))
         return [self._decrypt_record(record) for record in records]
 
     def reveal_records(self, records: list[np.ndarray]
@@ -192,7 +191,7 @@ class SSEIndex:
         positives); use :meth:`open_records` when the decode is a
         trusted-machine confirmation step.
         """
-        self.counter.comparisons += len(records)
+        self.counter.charge(comparisons=len(records))
         return [self._decrypt_record(record) for record in records]
 
     # -- accounting ------------------------------------------------------------------ #

@@ -103,15 +103,15 @@ def prime_index(owner, index, domain: tuple[int, int], num_queries: int,
                                      strategy=strategy, seed=seed)
     processor = SingleDimensionProcessor(index)
     before_k = index.num_partitions
-    before_qpf = index.qpf.counter.qpf_uses
-    for threshold in thresholds:
-        trapdoor = owner.comparison_trapdoor(index.attribute, "<",
-                                             int(threshold))
-        processor.select(trapdoor, update=True)
+    with index.qpf.counter.measure() as spent:
+        for threshold in thresholds:
+            trapdoor = owner.comparison_trapdoor(index.attribute, "<",
+                                                 int(threshold))
+            processor.select(trapdoor, update=True)
     return PrimingReport(
         strategy=strategy,
         queries_issued=int(thresholds.size),
-        qpf_spent=index.qpf.counter.qpf_uses - before_qpf,
+        qpf_spent=spent.qpf_uses,
         partitions_before=before_k,
         partitions_after=index.num_partitions,
     )

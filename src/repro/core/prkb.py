@@ -170,13 +170,17 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _metered(sub, meter: dict, phase: str):
-    """Delegate to a request generator while tallying per-phase QPF uses.
+def _metered(sub, meter: dict, phase: str, name: str, tracer, parent):
+    """Delegate to a request generator, tallying its QPF uses in one span.
 
     Generator-local accounting (rather than diffing the shared counter)
     is what lets many interleaved queries each report their own logical
-    ``qpf_uses`` in batch mode.
+    ``qpf_uses`` in batch mode.  Cost attribution comes from the logical
+    ``meter``; only the wall-clock interval is span-local, so under
+    interleaving the duration includes sibling queries' work while
+    ``qpf_uses`` stays per-query exact.
     """
+    span = tracer.begin(name, parent=parent)
     try:
         request = next(sub)
         while True:
@@ -185,26 +189,11 @@ def _metered(sub, meter: dict, phase: str):
             request = sub.send(labels)
     except StopIteration as stop:
         return stop.value
-
-
-def _metered_traced(sub, meter: dict, phase: str, name: str, tracer, parent):
-    """:func:`_metered` plus one tracer span covering the whole phase.
-
-    Cost attribution comes from the logical ``meter`` (exact even when
-    the batching layer interleaves many queries through the shared
-    counter); only the wall-clock interval is span-local, so under
-    interleaving the duration includes sibling queries' work while
-    ``qpf_uses`` stays per-query exact.
-    """
-    span = tracer.begin(name, parent=parent)
-    try:
-        result = yield from _metered(sub, meter, phase)
     finally:
         tracer.finish(span, qpf_uses=meter[phase])
-    return result
 
 
-def _metered_qfilter_traced(sub, meter: dict, tracer, parent):
+def _metered_qfilter(sub, meter: dict, tracer, parent):
     """QFilter metering split into *sample* and *search* sub-spans.
 
     Algorithm 1 has two distinct QPF consumers — the fused endpoint
@@ -216,19 +205,17 @@ def _metered_qfilter_traced(sub, meter: dict, tracer, parent):
     search = None
     base = 0
     try:
-        try:
-            request = next(sub)
-            while True:
-                meter["qfilter"] += int(request.uids.size)
-                labels = yield request
-                if search is None:
-                    base = meter["qfilter"]
-                    tracer.finish(sample, qpf_uses=base)
-                    search = tracer.begin("prkb.qfilter.search",
-                                          parent=parent)
-                request = sub.send(labels)
-        except StopIteration as stop:
-            return stop.value
+        request = next(sub)
+        while True:
+            meter["qfilter"] += int(request.uids.size)
+            labels = yield request
+            if search is None:
+                base = meter["qfilter"]
+                tracer.finish(sample, qpf_uses=base)
+                search = tracer.begin("prkb.qfilter.search", parent=parent)
+            request = sub.send(labels)
+    except StopIteration as stop:
+        return stop.value
     finally:
         if search is None:
             tracer.finish(sample, qpf_uses=meter["qfilter"])
@@ -845,29 +832,21 @@ class PRKBIndex:
             with self._stats_lock:
                 self._equiv_hits += 1
             self._note_query(0, 0, False, True)
-            if tracer is not None:
-                tracer.finish(
-                    tracer.begin("prkb.cached", parent=span,
-                                 attribute=self.attribute),
-                    qpf_uses=0)
+            tracer.finish(tracer.begin("prkb.cached", parent=span,
+                                       attribute=self.attribute),
+                          qpf_uses=0)
             return (cached, None)
         with self._stats_lock:
             self._equiv_misses += 1
         if view is None:
             view = self.pop.freeze()
         meter = {"qfilter": 0, "qscan": 0}
-        if tracer is None:
-            filtered = yield from _metered(
-                self._qfilter_gen(trapdoor, view), meter, "qfilter")
-            scanned = yield from _metered(
-                self._qscan_gen(trapdoor, view, filtered), meter, "qscan")
-        else:
-            parent = span if span is not None else tracer.current()
-            filtered = yield from _metered_qfilter_traced(
-                self._qfilter_gen(trapdoor, view), meter, tracer, parent)
-            scanned = yield from _metered_traced(
-                self._qscan_gen(trapdoor, view, filtered), meter, "qscan",
-                "prkb.qscan", tracer, parent)
+        parent = span if span is not None else tracer.current()
+        filtered = yield from _metered_qfilter(
+            self._qfilter_gen(trapdoor, view), meter, tracer, parent)
+        scanned = yield from _metered(
+            self._qscan_gen(trapdoor, view, filtered), meter, "qscan",
+            "prkb.qscan", tracer, parent)
         deferred = None
         if update and scanned.split_index is not None:
             deferred = self._plan_split(
@@ -899,7 +878,7 @@ class PRKBIndex:
         ``TW ∪ TWNS``.
         """
         tracer = self.qpf.counter.tracer
-        if tracer is None:
+        with tracer.span("prkb.select", attribute=self.attribute) as root:
             # Snapshot read: the whole pipeline (equivalence probe, chain
             # freeze, QFilter/QScan) runs under the read lock, then the
             # commit re-acquires exclusively — no lock upgrade, and
@@ -907,31 +886,19 @@ class PRKBIndex:
             # refinement that landed in the unlocked gap.
             with self.lock.read():
                 result, deferred = self._drive(
-                    self.select_steps(trapdoor, update=update))
+                    self.select_steps(trapdoor, update=update, span=root))
+            uspan = tracer.begin("prkb.update", parent=root)
+            committed = False
             if deferred is not None or self._journal is not None:
                 with self.lock.write():
-                    if deferred is not None:
-                        self._commit_split(deferred)
+                    committed = (deferred is not None
+                                 and self._commit_split(deferred))
                     self.commit_journal()
-        else:
-            with tracer.span("prkb.select",
-                             attribute=self.attribute) as root:
-                with self.lock.read():
-                    result, deferred = self._drive(
-                        self.select_steps(trapdoor, update=update,
-                                          span=root))
-                uspan = tracer.begin("prkb.update", parent=root)
-                committed = False
-                if deferred is not None or self._journal is not None:
-                    with self.lock.write():
-                        committed = (deferred is not None
-                                     and self._commit_split(deferred))
-                        self.commit_journal()
-                # updatePRKB reuses QScan's labels: splits are QPF-free.
-                tracer.finish(uspan.set(split=bool(committed)), qpf_uses=0)
-                # Total as an *attribute* (not cost): span costs stay
-                # non-overlapping so phase sums tile the global counter.
-                root.set(qpf_uses_total=result.qpf_uses)
+            # updatePRKB reuses QScan's labels: splits are QPF-free.
+            tracer.finish(uspan.set(split=bool(committed)), qpf_uses=0)
+            # Total as an *attribute* (not cost): span costs stay
+            # non-overlapping so phase sums tile the global counter.
+            root.set(qpf_uses_total=result.qpf_uses)
         if result.partitions_after != self.pop.num_partitions:
             result = replace(result,
                              partitions_after=self.pop.num_partitions)

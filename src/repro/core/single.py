@@ -82,13 +82,14 @@ class SingleDimensionProcessor:
         if not trapdoors:
             raise ValueError("measure() needs at least one trapdoor")
         counter = self.index.qpf.counter
-        before = counter.qpf_uses
         winners: np.ndarray | None = None
-        for trapdoor in trapdoors:
-            part = self.select(trapdoor, update=update)
-            if winners is None:
-                winners = part
-            else:
-                counter.charge(comparisons=int(winners.size + part.size))
-                winners = np.intersect1d(winners, part, assume_unique=True)
-        return winners, QueryCost(qpf_uses=counter.qpf_uses - before)
+        with counter.measure() as spent:
+            for trapdoor in trapdoors:
+                part = self.select(trapdoor, update=update)
+                if winners is None:
+                    winners = part
+                else:
+                    counter.charge(comparisons=int(winners.size + part.size))
+                    winners = np.intersect1d(winners, part,
+                                             assume_unique=True)
+        return winners, QueryCost(qpf_uses=spent.qpf_uses)

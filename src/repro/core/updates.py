@@ -83,19 +83,17 @@ class TableUpdater:
     def insert_encrypted(self, uids: np.ndarray,
                          ciphertexts: dict[str, np.ndarray]) -> InsertReceipt:
         """Store encrypted rows and file them into every PRKB index."""
-        counter = next(iter(self.indexes.values())).qpf.counter \
-            if self.indexes else None
-        before = counter.qpf_uses if counter else 0
+        uids = np.asarray(uids, dtype=np.uint64)
         self.table.insert_rows(uids, ciphertexts)
         if self.journal is not None:
-            self.journal.rows_insert(np.asarray(uids, dtype=np.uint64),
-                                     ciphertexts)
+            self.journal.rows_insert(uids, ciphertexts)
+        qpf_uses = 0
         for index in self.indexes.values():
-            for uid in np.asarray(uids, dtype=np.uint64):
-                index.insert(int(uid))
-        after = counter.qpf_uses if counter else 0
-        return InsertReceipt(uids=np.asarray(uids, dtype=np.uint64),
-                             qpf_uses=after - before)
+            with index.qpf.counter.measure() as spent:
+                for uid in uids:
+                    index.insert(int(uid))
+            qpf_uses += spent.qpf_uses
+        return InsertReceipt(uids=uids, qpf_uses=qpf_uses)
 
     def insert_plain(self, key: SecretKey,
                      rows: dict[str, np.ndarray]) -> InsertReceipt:

@@ -109,26 +109,26 @@ def attach_audit_log(server) -> AuditLog:
     original_range = server.select_range
 
     def select(table_name, trapdoor, update=True):
-        before = server.counter.snapshot()
-        result = original_select(table_name, trapdoor, update=update)
+        with server.counter.measure() as spent:
+            result = original_select(table_name, trapdoor, update=update)
         log.record("select", table_name, (trapdoor.attribute,),
-                   int(result.size), server.counter.diff(before))
+                   int(result.size), spent)
         return result
 
     def select_baseline(table_name, trapdoor):
-        before = server.counter.snapshot()
-        result = original_baseline(table_name, trapdoor)
+        with server.counter.measure() as spent:
+            result = original_baseline(table_name, trapdoor)
         log.record("baseline", table_name, (trapdoor.attribute,),
-                   int(result.size), server.counter.diff(before))
+                   int(result.size), spent)
         return result
 
     def select_range(table_name, query, strategy="md", update=True):
-        before = server.counter.snapshot()
-        result = original_range(table_name, query, strategy=strategy,
-                                update=update)
+        with server.counter.measure() as spent:
+            result = original_range(table_name, query, strategy=strategy,
+                                    update=update)
         attributes = tuple(dimension.attribute for dimension in query)
         log.record("select_range", table_name, attributes,
-                   int(result.size), server.counter.diff(before))
+                   int(result.size), spent)
         return result
 
     server.select = select

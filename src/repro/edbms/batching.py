@@ -142,20 +142,14 @@ class QPFBatcher:
         groups, self._groups = self._groups, {}
         if not placements:
             return []
-        tracer = self.qpf.counter.tracer
-        if tracer is None:
+        with self.qpf.counter.tracer.span("qpf.flush",
+                                          requests=len(placements),
+                                          groups=len(groups)) as fspan:
             fused = [group.payload() for group in groups.values()]
+            fspan.set(payload=sum(int(r.uids.size) for r in fused))
             for group, labels in zip(groups.values(),
                                      self.qpf.batch_many(fused)):
                 group.labels = labels
-        else:
-            with tracer.span("qpf.flush", requests=len(placements),
-                             groups=len(groups)) as fspan:
-                fused = [group.payload() for group in groups.values()]
-                fspan.set(payload=int(sum(r.uids.size for r in fused)))
-                for group, labels in zip(groups.values(),
-                                         self.qpf.batch_many(fused)):
-                    group.labels = labels
         return [group.labels_for(chunk) for group, chunk in placements]
 
 
@@ -283,14 +277,12 @@ class BatchExecutor:
             view = views.get(id(job.index))
             if view is None:
                 view = views[id(job.index)] = job.index.pop.freeze()
-            span = None
-            if tracer is not None:
-                # Each batched query gets its own trace: phase spans
-                # produced by the generator attach here even though the
-                # engine's window span is on the stack.
-                span = tracer.begin("batch.query", parent=None,
-                                    position=position,
-                                    attribute=job.index.attribute)
+            # Each batched query gets its own trace: phase spans
+            # produced by the generator attach here even though the
+            # engine's window span is on the stack.
+            span = tracer.begin("batch.query", parent=None,
+                                position=position,
+                                attribute=job.index.attribute)
             steps = job.index.select_steps(job.trapdoor, update=update,
                                            view=view, span=span)
             state = _QueryState(position=position, index=job.index,
@@ -311,17 +303,13 @@ class BatchExecutor:
             active = survivors
         for position, source in aliases:
             original = answers[source]
-            trace_id = None
-            if tracer is not None:
-                aspan = tracer.begin("batch.alias", parent=None,
-                                     position=position,
-                                     source=original.trace_id)
-                tracer.finish(aspan, qpf_uses=0)
-                trace_id = aspan.trace_id
+            aspan = tracer.finish(
+                tracer.begin("batch.alias", parent=None, position=position,
+                             source=original.trace_id), qpf_uses=0)
             # The duplicate consumed nothing: its twin's work answers it.
             answers[position] = BatchAnswer(
                 winners=original.winners, qpf_uses=0, roundtrip_share=0.0,
-                was_equivalent=True, trace_id=trace_id)
+                was_equivalent=True, trace_id=aspan.trace_id)
 
     def _advance(self, state: _QueryState, answers: list) -> bool:
         """Step one pipeline; returns False (and records) on completion."""
@@ -334,46 +322,34 @@ class BatchExecutor:
             return True
         except StopIteration as stop:
             result, deferred = stop.value
-            if state.span is None:
-                if deferred is not None:
-                    state.index._commit_split(deferred)
-            else:
-                tracer = self.qpf.counter.tracer
-                uspan = tracer.begin("prkb.update", parent=state.span)
-                committed = (deferred is not None
-                             and state.index._commit_split(deferred))
-                tracer.finish(uspan.set(split=bool(committed)), qpf_uses=0)
+            tracer = self.qpf.counter.tracer
+            uspan = tracer.begin("prkb.update", parent=state.span)
+            committed = (deferred is not None
+                         and state.index._commit_split(deferred))
+            tracer.finish(uspan.set(split=bool(committed)), qpf_uses=0)
             if result.partitions_after != state.index.pop.num_partitions:
                 result = replace(
                     result,
                     partitions_after=state.index.pop.num_partitions)
-            trace_id = None
-            if state.span is not None:
-                # Totals as *attributes* (not costs): phase spans below
-                # this root already carry the qpf attribution exactly.
-                state.span.set(qpf_uses_total=result.qpf_uses,
-                               equivalent=result.was_equivalent)
-                self.qpf.counter.tracer.finish(state.span)
-                trace_id = state.span.trace_id
+            # Totals as *attributes* (not costs): phase spans below this
+            # root already carry the qpf attribution exactly.
+            tracer.finish(state.span.set(qpf_uses_total=result.qpf_uses,
+                                         equivalent=result.was_equivalent))
             answers[state.position] = BatchAnswer(
                 winners=result.winners,
                 qpf_uses=result.qpf_uses,
                 roundtrip_share=state.roundtrip_share,
                 was_equivalent=result.was_equivalent,
-                trace_id=trace_id)
+                trace_id=state.span.trace_id)
             return False
 
     # -- serial fallbacks ----------------------------------------------- #
 
     def _run_serial(self, job: BatchJob, update: bool) -> BatchAnswer:
         counter: CostCounter = self.qpf.counter
-        tracer = counter.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("batch.serial", parent=None, kind=job.kind)
-            tracer._push(span)
-        before = counter.snapshot()
-        try:
+        with counter.tracer.span("batch.serial", parent=None,
+                                 kind=job.kind) as span, \
+                counter.measure() as spent:
             if job.kind == "between":
                 from ..core.between import BetweenProcessor
 
@@ -385,12 +361,7 @@ class BatchExecutor:
                 winners = job.table.uids[labels]
             else:
                 raise ValueError(f"unknown job kind {job.kind!r}")
-        finally:
-            spent = counter.diff(before)
-            if span is not None:
-                tracer._pop(span)
-                # Serial sections own the counter: the delta is exact.
-                tracer.finish(span, qpf_uses=spent.qpf_uses)
+            span.record(qpf_uses=spent.qpf_uses)
         return BatchAnswer(winners=winners, qpf_uses=spent.qpf_uses,
                            roundtrip_share=float(spent.qpf_roundtrips),
-                           trace_id=span.trace_id if span else None)
+                           trace_id=span.trace_id)

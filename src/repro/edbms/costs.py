@@ -11,8 +11,9 @@ simulator rather than the authors' FPGA testbed, we expose both:
   so benchmark harnesses can report time series with the same shape as the
   paper's figures.
 
-Counters are deliberately cheap (plain integer adds) so that instrumentation
-does not distort wall-clock measurements.
+Every counter mutation goes through :meth:`CostCounter.charge` (one lock
+and a few integer adds), so instrumentation stays cheap and per-query
+:meth:`CostCounter.measure` scopes see every unit a query spends.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
+
+from ..obs.tracing import NULL_TRACER
 
 
 @dataclass
@@ -99,13 +102,14 @@ class CostCounter:
 
     #: Observability hooks.  ``ClassVar`` keeps them out of the dataclass
     #: field machinery (``reset``/``diff``/``as_dict`` stay pure tallies)
-    #: and out of ``snapshot()`` copies.  They default to ``None`` for
-    #: every counter; ``EncryptedDatabase.enable_observability()`` sets
-    #: *instance* attributes on the one live counter a database shares
-    #: across its engine/server/QPF/WAL layers, which is exactly how the
-    #: tracer reaches code that only ever sees the counter.  Hot paths
-    #: pay one attribute load + ``is None`` test when disabled.
-    tracer: ClassVar = None
+    #: and out of ``snapshot()`` copies.  ``tracer`` defaults to the
+    #: no-op :data:`~repro.obs.tracing.NULL_TRACER`, so instrumented
+    #: code always opens its spans; ``metrics`` defaults to ``None``.
+    #: ``EncryptedDatabase.enable_observability()`` sets *instance*
+    #: attributes on the one live counter a database shares across its
+    #: engine/server/QPF/WAL layers, which is exactly how the tracer
+    #: reaches code that only ever sees the counter.
+    tracer: ClassVar = NULL_TRACER
     metrics: ClassVar = None
 
     def __post_init__(self):
@@ -114,8 +118,8 @@ class CostCounter:
         # under free-threaded serving, ``_scopes`` holds each thread's
         # stack of active :meth:`measure` tallies.  Plain ``+=`` on a
         # counter field is a LOAD/ADD/STORE sequence that loses updates
-        # when threads interleave, so every charge site on a
-        # concurrently-executed path goes through :meth:`charge`.
+        # when threads interleave and bypasses every open scope, so
+        # every write outside this module goes through :meth:`charge`.
         self._lock = threading.Lock()
         self._scopes = threading.local()
 
@@ -127,14 +131,16 @@ class CostCounter:
         serving gets exact per-query accounting without snapshotting a
         counter that sibling threads are charging at the same time.
         """
+        counts = self.__dict__
         with self._lock:
             for name, amount in deltas.items():
-                setattr(self, name, getattr(self, name) + amount)
+                counts[name] += amount
         scopes = self._scopes.__dict__.get("stack")
         if scopes:
             for tally in scopes:
+                counts = tally.__dict__
                 for name, amount in deltas.items():
-                    setattr(tally, name, getattr(tally, name) + amount)
+                    counts[name] += amount
 
     @contextmanager
     def measure(self):
@@ -154,7 +160,9 @@ class CostCounter:
         try:
             yield tally
         finally:
-            stack.remove(tally)
+            # Scopes nest, so this one is on top; ``list.remove`` would
+            # match by value and could drop an equal outer tally.
+            stack.pop()
 
     def reset(self) -> None:
         """Zero every counter in place."""

@@ -42,7 +42,7 @@ class DurabilityManager:
                  faults: FaultInjector | None = None):
         self.root = Path(root)
         self.policy = FsyncPolicy.parse(fsync)
-        self.counter = counter
+        self.counter = counter or CostCounter()
         self.faults = faults
         #: Set by the recovery manager while it rebuilds server state, so
         #: the server's registration notifications don't re-checkpoint.
@@ -181,75 +181,53 @@ class DurabilityManager:
         """Write a fresh table checkpoint and truncate its WAL."""
         from .checkpoint import drop_stale_generations, write_table_checkpoint
 
-        tracer = None if self.counter is None else self.counter.tracer
-        if tracer is not None:
-            with tracer.span("checkpoint.table", table=table.name):
-                self._checkpoint_table(table, drop_stale_generations,
-                                       write_table_checkpoint)
-        else:
-            self._checkpoint_table(table, drop_stale_generations,
-                                   write_table_checkpoint)
-
-    def _checkpoint_table(self, table, drop_stale_generations,
-                          write_table_checkpoint) -> None:
-        generation = self._next_generation(f"table:{table.name}",
-                                           self.tables_dir, table.name)
-        write_table_checkpoint(self.tables_dir, table.name, table,
-                               generation, faults=self.faults)
-        if self.faults is not None:
-            self.faults.maybe_crash(POINT_WAL_RESET)
-        journal = self._table_journals.get(table.name)
-        if journal is None:
-            writer = WALWriter(self.table_wal_path(table.name),
-                               generation=generation, policy=self.policy,
-                               counter=self.counter, faults=self.faults)
-            self._table_journals[table.name] = TableJournal(writer)
-        else:
-            journal.writer.reset(generation)
-        drop_stale_generations(self.tables_dir, table.name, generation)
-        if self.counter is not None:
-            self.counter.checkpoints_written += 1
+        with self.counter.tracer.span("checkpoint.table", table=table.name):
+            generation = self._next_generation(f"table:{table.name}",
+                                               self.tables_dir, table.name)
+            write_table_checkpoint(self.tables_dir, table.name, table,
+                                   generation, faults=self.faults)
+            if self.faults is not None:
+                self.faults.maybe_crash(POINT_WAL_RESET)
+            journal = self._table_journals.get(table.name)
+            if journal is None:
+                writer = WALWriter(self.table_wal_path(table.name),
+                                   generation=generation, policy=self.policy,
+                                   counter=self.counter, faults=self.faults)
+                self._table_journals[table.name] = TableJournal(writer)
+            else:
+                journal.writer.reset(generation)
+            drop_stale_generations(self.tables_dir, table.name, generation)
+            self.counter.charge(checkpoints_written=1)
 
     def checkpoint_index(self, index) -> None:
         """Write a fresh index checkpoint, truncate its WAL, attach its
         journal (creating one on first call)."""
         from .checkpoint import drop_stale_generations, write_index_checkpoint
 
-        tracer = None if self.counter is None else self.counter.tracer
-        if tracer is not None:
-            with tracer.span("checkpoint.index", table=index.table.name,
-                             attribute=index.attribute):
-                self._checkpoint_index(index, drop_stale_generations,
-                                       write_index_checkpoint)
-        else:
-            self._checkpoint_index(index, drop_stale_generations,
-                                   write_index_checkpoint)
-
-    def _checkpoint_index(self, index, drop_stale_generations,
-                          write_index_checkpoint) -> None:
-        stem = self.index_stem(index.table.name, index.attribute)
-        generation = self._next_generation(f"index:{stem}",
-                                           self.indexes_dir, stem)
-        write_index_checkpoint(self.indexes_dir, stem, index, generation,
-                               faults=self.faults)
-        if self.faults is not None:
-            self.faults.maybe_crash(POINT_WAL_RESET)
         key = (index.table.name, index.attribute)
-        journal = self._index_journals.get(key)
-        if journal is None:
-            writer = WALWriter(
-                self.index_wal_path(*key), generation=generation,
-                policy=self.policy, counter=self.counter,
-                faults=self.faults)
-            journal = IndexJournal(writer)
-            self._index_journals[key] = journal
-        else:
-            journal.writer.reset(generation)
-        index.attach_journal(journal)
-        journal.reset_baseline()
-        drop_stale_generations(self.indexes_dir, stem, generation)
-        if self.counter is not None:
-            self.counter.checkpoints_written += 1
+        with self.counter.tracer.span("checkpoint.index", table=key[0],
+                                      attribute=key[1]):
+            stem = self.index_stem(*key)
+            generation = self._next_generation(f"index:{stem}",
+                                               self.indexes_dir, stem)
+            write_index_checkpoint(self.indexes_dir, stem, index, generation,
+                                   faults=self.faults)
+            if self.faults is not None:
+                self.faults.maybe_crash(POINT_WAL_RESET)
+            journal = self._index_journals.get(key)
+            if journal is None:
+                writer = WALWriter(
+                    self.index_wal_path(*key), generation=generation,
+                    policy=self.policy, counter=self.counter,
+                    faults=self.faults)
+                journal = IndexJournal(writer)
+                self._index_journals[key] = journal
+            else:
+                journal.writer.reset(generation)
+            index.attach_journal(journal)
+            journal.reset_baseline()
+            drop_stale_generations(self.indexes_dir, stem, generation)
+            self.counter.charge(checkpoints_written=1)
 
     def checkpoint_all(self, server) -> None:
         """Checkpoint every registered table and index; truncate all WALs."""

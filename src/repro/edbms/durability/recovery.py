@@ -131,46 +131,35 @@ class RecoveryManager:
         stats = RecoveryStats()
         manifest = self.manager.load_manifest()
         counter = self.manager.counter
-        tracer = None if counter is None else counter.tracer
         self.manager.recovering = True
         try:
-            if tracer is None:
-                self._recover_phases(manifest, stats)
-            else:
-                with tracer.span("recovery",
-                                 tables=len(manifest["tables"]),
-                                 indexes=len(manifest["indexes"])):
-                    self._recover_phases(manifest, stats, tracer)
+            with counter.tracer.span("recovery",
+                                     tables=len(manifest["tables"]),
+                                     indexes=len(manifest["indexes"])):
+                self._recover_phases(manifest, stats, counter.tracer)
         finally:
             self.manager.recovering = False
-        counter = self.manager.counter
-        if counter is not None:
-            counter.recovery_records_replayed += stats.wal_records_replayed
-            counter.recovery_torn_bytes += stats.torn_bytes_dropped
-            counter.recovery_orphan_repairs += (stats.orphans_reindexed
-                                                + stats.orphans_dropped)
+        counter.charge(
+            recovery_records_replayed=stats.wal_records_replayed,
+            recovery_torn_bytes=stats.torn_bytes_dropped,
+            recovery_orphan_repairs=(stats.orphans_reindexed
+                                     + stats.orphans_dropped))
         return stats
 
-    def _recover_phases(self, manifest, stats, tracer=None) -> None:
-        """The four recovery phases, each optionally under its own span."""
-        def phased(name, fn):
-            if tracer is None:
-                fn()
-            else:
-                with tracer.span(name):
-                    fn()
-
-        phased("recovery.tables", lambda: [
-            self._recover_table(name, stats)
-            for name in manifest["tables"]])
-        phased("recovery.indexes", lambda: [
-            self._recover_index(spec["table"], spec["attribute"], stats)
-            for spec in manifest["indexes"]])
-        phased("recovery.orphans", lambda: self._repair_orphans(stats))
+    def _recover_phases(self, manifest, stats, tracer) -> None:
+        """The four recovery phases, each under its own span."""
+        with tracer.span("recovery.tables"):
+            for name in manifest["tables"]:
+                self._recover_table(name, stats)
+        with tracer.span("recovery.indexes"):
+            for spec in manifest["indexes"]:
+                self._recover_index(spec["table"], spec["attribute"], stats)
+        with tracer.span("recovery.orphans"):
+            self._repair_orphans(stats)
         # Recovery-then-checkpoint: persist the recovered state and
         # truncate every WAL, then attach fresh journals.
-        phased("recovery.checkpoint",
-               lambda: self.manager.checkpoint_all(self.server))
+        with tracer.span("recovery.checkpoint"):
+            self.manager.checkpoint_all(self.server)
 
     # -- tables --------------------------------------------------------- #
 
@@ -238,11 +227,11 @@ class RecoveryManager:
             table_uids = set(int(u) for u in table.uids)
             for index in indexes.values():
                 tracked = set(int(u) for u in index.pop.tracked_uids())
-                before = counter.qpf_uses
-                for uid in sorted(tracked - table_uids):
-                    index.delete(uid)
-                    stats.orphans_dropped += 1
-                for uid in sorted(table_uids - tracked):
-                    index.insert(uid)
-                    stats.orphans_reindexed += 1
-                stats.repair_qpf_uses += counter.qpf_uses - before
+                with counter.measure() as spent:
+                    for uid in sorted(tracked - table_uids):
+                        index.delete(uid)
+                        stats.orphans_dropped += 1
+                    for uid in sorted(table_uids - tracked):
+                        index.insert(uid)
+                        stats.orphans_reindexed += 1
+                stats.repair_qpf_uses += spent.qpf_uses

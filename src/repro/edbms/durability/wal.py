@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..costs import CostCounter
 from .faults import FaultInjector, SimulatedCrash
 
 __all__ = [
@@ -124,11 +125,12 @@ class WALWriter:
 
     def __init__(self, path, generation: int = 1,
                  policy: FsyncPolicy | None = None,
-                 counter=None, faults: FaultInjector | None = None):
+                 counter: CostCounter | None = None,
+                 faults: FaultInjector | None = None):
         self.path = Path(path)
         self.generation = int(generation)
         self.policy = policy or FsyncPolicy()
-        self.counter = counter
+        self.counter = counter or CostCounter()
         self.faults = faults
         self._file = None
         self._pending_commits = 0
@@ -175,8 +177,7 @@ class WALWriter:
                                      f"{cut}/{len(framed)} bytes written")
         self._file.write(framed)
         self._file.flush()
-        if self.counter is not None:
-            self.counter.charge(wal_records=1, wal_bytes=len(framed))
+        self.counter.charge(wal_records=1, wal_bytes=len(framed))
         if self.faults is not None:
             self.faults.maybe_crash(POINT_APPEND_AFTER,
                                     on_power_loss=self._truncate_to_synced)
@@ -194,19 +195,15 @@ class WALWriter:
         if self.faults is not None:
             self.faults.maybe_crash(POINT_SYNC,
                                     on_power_loss=self._truncate_to_synced)
-        tracer = None if self.counter is None else self.counter.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("wal.fsync", path=self.path.name,
-                                pending_bytes=self._file.tell() - self._synced)
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._synced = self._file.tell()
-        self._pending_commits = 0
-        if self.counter is not None:
+        with self.counter.tracer.span(
+                "wal.fsync", path=self.path.name,
+                pending_bytes=self._file.tell() - self._synced) as span:
+            self._file.flush()
+            os.fsync(self._file.fileno())
+            self._synced = self._file.tell()
+            self._pending_commits = 0
             self.counter.charge(wal_fsyncs=1)
-        if span is not None:
-            tracer.finish(span, wal_fsyncs=1)
+            span.record(wal_fsyncs=1)
 
     def reset(self, generation: int) -> None:
         """Truncate to an empty segment of the given generation.

@@ -142,14 +142,16 @@ class EncryptedDatabase:
         """Install a span tracer and a metrics registry on this database.
 
         Both handles are published on the shared :class:`CostCounter`
-        (instance attributes shadowing the ``None`` class defaults), so
-        every layer that already holds the counter — PRKB pipelines, the
-        batcher, the trusted machine, WAL writers, recovery — starts emitting
-        spans/metrics with no further wiring.  Until this is called, the
-        instrumented hot paths cost one ``is None`` test and allocate
-        nothing.  Idempotent: re-enabling returns the existing handles.
+        (instance attributes shadowing the class defaults: the no-op
+        :data:`~repro.obs.tracing.NULL_TRACER` and ``None``), so every
+        layer that already holds the counter — PRKB pipelines, the
+        batcher, the trusted machine, WAL writers, recovery — starts
+        emitting spans/metrics with no further wiring.  Until this is
+        called, every span the query path opens is the null tracer's
+        shared no-op span.  Idempotent: re-enabling returns the existing
+        handles.
         """
-        if self.tracer is not None:
+        if self.metrics is not None:
             return self.tracer, self.metrics
         self.tracer = Tracer(capacity=trace_capacity)
         self.metrics = registry if registry is not None else MetricsRegistry()
@@ -161,11 +163,12 @@ class EncryptedDatabase:
         return self.tracer, self.metrics
 
     def disable_observability(self) -> None:
-        """Remove tracer + registry; hot paths go back to zero-cost."""
+        """Remove tracer + registry; spans go back to the no-op tracer."""
         self.tracer = None
         self.metrics = None
         # Instance attributes shadow the ClassVar defaults; dropping them
-        # restores ``None`` without touching other databases' counters.
+        # restores the null tracer without touching other databases'
+        # counters.
         self.counter.__dict__.pop("tracer", None)
         self.counter.__dict__.pop("metrics", None)
 
@@ -595,7 +598,6 @@ class EncryptedDatabase:
 
     def _query_with(self, planner: Planner, sql: str,
                     strategy: str = "auto",
-                    measured: bool = False,
                     tenant: str | None = None) -> QueryAnswer:
         """Parse/plan/execute through a specific planner.
 
@@ -604,77 +606,59 @@ class EncryptedDatabase:
         namespace) so tenants never share plan caches or indexes.
         ``tenant`` labels the query's knowledge atom when outcome
         tracking is enabled (``None`` records as ``"local"``).
+        """
+        return self._run(planner, sql, strategy, tenant)[0]
 
-        ``measured=False`` accounts per-query cost as a global counter
-        snapshot/diff — exact, and bit-identical to the historical
-        behavior, but only when no sibling query runs concurrently.
-        ``measured=True`` accounts through a thread-local
-        :meth:`CostCounter.measure` scope instead: every ``charge`` made
-        by *this* thread lands in a private tally, so per-query
-        ``qpf_uses`` stays exact while other worker threads charge the
-        same counter.
+    def _run(self, planner: Planner, sql: str, strategy: str,
+             tenant: str | None, audit: list | None = None
+             ) -> tuple[QueryAnswer, PhysicalPlan, float]:
+        """The one query path: ``(answer, executed plan, wall seconds)``.
+
+        Execution cost is tallied in a :meth:`CostCounter.measure`
+        scope: every ``charge`` made by *this* thread lands in a private
+        tally, so ``qpf_uses`` stays exact while other worker threads
+        charge the same counter.  ``audit`` (EXPLAIN ANALYZE) collects
+        one ``(attributes, qpf, seconds)`` entry per executed step.
         """
         statement = self._parse(sql)
         counter = self.counter
-        tracer = counter.tracer
-        metrics = counter.metrics
-        timed = metrics is not None or self.outcomes is not None \
-            or self._ledger is not None
-        start = time.perf_counter() if timed else 0.0
-        query_id = None
-        if tracer is None:
+        start = time.perf_counter()
+        # Planning runs inside the span so the planner's
+        # ``plan.fingerprint`` child lands in the same trace.
+        with counter.tracer.span("query" if audit is None
+                                 else "explain_analyze",
+                                 sql=sql, strategy=strategy) as span:
             plan = planner.plan(statement, strategy)
-            ctx = planner.execution_context()
-            if measured:
-                with counter.measure() as spent:
-                    uids, value = plan.execute(ctx)
-            else:
-                before = counter.snapshot()
+            ctx = planner.execution_context(audit=audit)
+            with counter.measure() as spent:
                 uids, value = plan.execute(ctx)
-                spent = counter.diff(before)
-        else:
-            # Planning runs inside the query span so the planner's
-            # ``plan.fingerprint`` child lands in the same trace.
-            with tracer.span("query", sql=sql, strategy=strategy) as span:
-                plan = planner.plan(statement, strategy)
-                ctx = planner.execution_context()
-                if measured:
-                    with counter.measure() as spent:
-                        uids, value = plan.execute(ctx)
-                else:
-                    before = counter.snapshot()
-                    uids, value = plan.execute(ctx)
-                    spent = counter.diff(before)
-                # Totals go in attrs, not cost: span costs stay exclusive
-                # (phase spans below already own every QPF use).
-                span.set(qpf_uses=spent.qpf_uses,
-                         qpf_roundtrips=spent.qpf_roundtrips,
-                         rows=int(uids.size))
-                query_id = span.trace_id
+            # Totals go in attrs, not cost: span costs stay exclusive
+            # (phase spans below already own every QPF use).
+            span.set(qpf_uses=spent.qpf_uses,
+                     qpf_roundtrips=spent.qpf_roundtrips,
+                     rows=int(uids.size))
         planner.record_execution(plan)
-        wall = time.perf_counter() - start if timed else 0.0
+        wall = time.perf_counter() - start
+        metrics = counter.metrics
         if metrics is not None:
             metrics.histogram("repro_query_latency_seconds").observe(wall)
-            self._record_estimate_error(plan, spent.qpf_uses)
+            metrics.histogram(
+                "repro_plan_estimate_error_ratio",
+                buckets=DEFAULT_RATIO_BUCKETS,
+            ).observe((spent.qpf_uses + 1) / (plan.estimated_qpf + 1))
         if self.outcomes is not None or self._ledger is not None:
+            # An audit gives exact per-step actuals, so even multi-step
+            # plans yield an *exact* atom the corrector can learn from.
+            step_actuals = None if audit is None else [
+                audit[position][1] if position < len(audit) else 0
+                for position in range(len(plan.steps))]
             self._record_outcome(plan, sql, spent.qpf_uses, wall * 1e3,
-                                 int(uids.size), tenant)
-        return QueryAnswer(
-            uids=uids,
-            value=value,
-            qpf_uses=spent.qpf_uses,
+                                 int(uids.size), tenant, step_actuals)
+        answer = QueryAnswer(
+            uids=uids, value=value, qpf_uses=spent.qpf_uses,
             simulated_ms=self.cost_model.simulated_millis(spent),
-            query_id=query_id,
-        )
-
-    def _record_estimate_error(self, plan: PhysicalPlan,
-                               actual_qpf: int) -> None:
-        """Feed the planner-quality histogram (metrics enabled only)
-        from the *executed* plan — no second planning pass."""
-        self.counter.metrics.histogram(
-            "repro_plan_estimate_error_ratio",
-            buckets=DEFAULT_RATIO_BUCKETS,
-        ).observe((actual_qpf + 1) / (plan.estimated_qpf + 1))
+            query_id=span.trace_id)
+        return answer, plan, wall
 
     def execute_many(self, statements: list[str], strategy: str = "auto",
                      window: int | None = None) -> list[QueryAnswer]:
@@ -750,35 +734,11 @@ class EncryptedDatabase:
         resolution after a filtered MIN/MAX) is reported as a trailing
         synthetic step so the per-step actuals always sum to the total.
         """
-        statement = self._parse(sql)
         audit: list[tuple[tuple[str, ...], int, float]] = []
-        tracer = self.counter.tracer
-        before = self.counter.snapshot()
-        start = time.perf_counter()
-        query_id = None
-        if tracer is None:
-            physical = self.planner.plan(statement, strategy)
-            ctx = self.planner.execution_context(audit=audit)
-            uids, value = physical.execute(ctx)
-            spent = self.counter.diff(before)
-        else:
-            # Planning runs inside the span: the ``plan.fingerprint``
-            # child is part of the analyzed trace.
-            with tracer.span("explain_analyze", sql=sql,
-                             strategy=strategy) as span:
-                physical = self.planner.plan(statement, strategy)
-                ctx = self.planner.execution_context(audit=audit)
-                uids, value = physical.execute(ctx)
-                spent = self.counter.diff(before)
-                span.set(qpf_uses=spent.qpf_uses, rows=int(uids.size))
-                query_id = span.trace_id
+        answer, physical, wall = self._run(self.planner, sql, strategy,
+                                           None, audit)
+        wall_ms = wall * 1e3
         plan = physical.query_plan()
-        self.planner.record_execution(physical)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        answer = QueryAnswer(
-            uids=uids, value=value, qpf_uses=spent.qpf_uses,
-            simulated_ms=self.cost_model.simulated_millis(spent),
-            query_id=query_id)
         steps = []
         for position, step in enumerate(plan.steps):
             if position < len(audit):
@@ -789,24 +749,11 @@ class EncryptedDatabase:
                 # the candidate set) — actuals are genuinely zero.
                 steps.append(StepAnalysis(step, 0, 0.0))
         accounted = sum(s.actual_qpf for s in steps)
-        residual = spent.qpf_uses - accounted
+        residual = answer.qpf_uses - accounted
         if residual:
             steps.append(StepAnalysis(
                 PlanStep("aggregate-resolve", ("*",), False, None, 0),
                 residual, max(0.0, wall_ms - sum(s.wall_ms for s in steps))))
-        metrics = self.counter.metrics
-        if metrics is not None:
-            metrics.histogram(
-                "repro_plan_estimate_error_ratio",
-                buckets=DEFAULT_RATIO_BUCKETS,
-            ).observe((spent.qpf_uses + 1) / (plan.estimated_qpf + 1))
-        if self.outcomes is not None or self._ledger is not None:
-            # The audit gives exact per-step actuals, so even multi-step
-            # plans yield an *exact* atom the corrector can learn from.
-            self._record_outcome(
-                physical, sql, spent.qpf_uses, wall_ms, int(uids.size),
-                None, step_actuals=[
-                    s.actual_qpf for s in steps[:len(physical.steps)]])
         return PlanAnalysis(plan=plan, steps=tuple(steps), answer=answer)
 
     # -- result materialisation (DO side) ------------------------------------ #

@@ -291,7 +291,7 @@ class TrustedMachine:
                  latency: CrossingLatency | None = None,
                  column_cache_bytes: int = COLUMN_CACHE_BYTES):
         self._key = key
-        self.counter = counter if counter is not None else CostCounter()
+        self.counter = counter or CostCounter()
         self._predicate_cache = PredicateLRU(predicate_cache_size)
         self._latency = latency
         # Derived per-(table, attribute) data subkeys.  Bounded by the
@@ -320,8 +320,10 @@ class TrustedMachine:
         return cached
 
     def _cross(self, tuples: int) -> None:
-        """Meter one enclave crossing carrying ``tuples`` tuples."""
-        self.counter.charge(qpf_roundtrips=1)
+        """Meter one enclave crossing carrying ``tuples`` tuples (one
+        QPF use and one retrieval each)."""
+        self.counter.charge(qpf_uses=tuples, tuples_retrieved=tuples,
+                            qpf_roundtrips=1)
         if self._latency is not None:
             delay = self._latency.delay(tuples)
             if delay > 0.0:
@@ -425,8 +427,6 @@ class TrustedMachine:
         many tuples ride in it; empty payloads are never shipped.
         """
         uids = np.asarray(uids, dtype=np.uint64)
-        self.counter.charge(qpf_uses=int(uids.size),
-                            tuples_retrieved=int(uids.size))
         if uids.size == 0:
             return np.zeros(0, dtype=bool)
         self._cross(int(uids.size))
@@ -446,7 +446,6 @@ class TrustedMachine:
         """
         sizes = [int(r.uids.size) for r in requests]
         total = sum(sizes)
-        self.counter.charge(qpf_uses=total, tuples_retrieved=total)
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
         self._cross(total)

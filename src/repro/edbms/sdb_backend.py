@@ -207,17 +207,17 @@ class MPCQueryProcessingFunction:
                  predicate_cache_size: int = PREDICATE_CACHE_SIZE):
         self._key = key
         self._scheme = SecretSharingScheme(key)
-        self.counter = counter if counter is not None else CostCounter()
+        self.counter = counter or CostCounter()
         self._predicate_cache = PredicateLRU(predicate_cache_size)
 
     def _plain_predicate(self, trapdoor: EncryptedPredicate):
         cached = self._predicate_cache.get(trapdoor.serial)
         if cached is None:
-            self.counter.predicate_cache_misses += 1
+            self.counter.charge(predicate_cache_misses=1)
             cached = unseal_predicate(self._key, trapdoor)
             self._predicate_cache.put(trapdoor.serial, cached)
         else:
-            self.counter.predicate_cache_hits += 1
+            self.counter.charge(predicate_cache_hits=1)
         return cached
 
     def _recover_values(self, table: SecretSharedTable, attribute: str,
@@ -249,12 +249,11 @@ class MPCQueryProcessingFunction:
         roundtrip figures are comparable across backends.
         """
         uids = np.asarray(uids, dtype=np.uint64)
-        self.counter.qpf_uses += int(uids.size)
-        self.counter.tuples_retrieved += int(uids.size)
-        self.counter.mpc_messages += 2 * int(uids.size)
-        if uids.size == 0:
+        size = int(uids.size)
+        if size == 0:
             return np.zeros(0, dtype=bool)
-        self.counter.qpf_roundtrips += 1
+        self.counter.charge(qpf_uses=size, tuples_retrieved=size,
+                            mpc_messages=2 * size, qpf_roundtrips=1)
         predicate = self._plain_predicate(trapdoor)
         values = self._recover_values(table, trapdoor.attribute, uids)
         return _evaluate_plain(predicate, values)
@@ -267,12 +266,10 @@ class MPCQueryProcessingFunction:
         number of exchanges (``qpf_roundtrips``) shrinks to one.
         """
         total = sum(int(r.uids.size) for r in requests)
-        self.counter.qpf_uses += total
-        self.counter.tuples_retrieved += total
-        self.counter.mpc_messages += 2 * total
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
-        self.counter.qpf_roundtrips += 1
+        self.counter.charge(qpf_uses=total, tuples_retrieved=total,
+                            mpc_messages=2 * total, qpf_roundtrips=1)
         results = []
         for request in requests:
             if request.uids.size == 0:

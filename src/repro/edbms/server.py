@@ -313,7 +313,9 @@ class ObservabilityEndpoint:
             return (200, "application/json",
                     json.dumps(render_json(self.registry), indent=2))
         if path.startswith("/trace/"):
-            if self.tracer is None:
+            from ..obs import Tracer
+
+            if not isinstance(self.tracer, Tracer):
                 return 503, "text/plain", "tracing not enabled\n"
             try:
                 trace_id = int(path[len("/trace/"):])

@@ -5,9 +5,10 @@ on nothing else in the repo, so every layer (engine, core, durability,
 server) can reach it without cycles.  Instrumented code never imports
 it on the hot path either — the tracer/metrics handles travel on the
 shared :class:`~repro.edbms.costs.CostCounter` (``counter.tracer`` /
-``counter.metrics``, both ``None`` until
-``EncryptedDatabase.enable_observability()`` installs them), so the
-disabled cost is a single attribute test.  (The plan-outcome ledger
+``counter.metrics``).  Until ``EncryptedDatabase.enable_observability()``
+installs them, ``counter.tracer`` is the no-op
+:data:`~repro.obs.tracing.NULL_TRACER` and ``counter.metrics`` is
+``None``.  (The plan-outcome ledger
 reuses the WAL's ``FsyncPolicy`` via a *lazy* import inside its
 constructor, so leafness at import time is preserved.)
 
@@ -42,10 +43,10 @@ from .outcomes import (
     step_key,
     symmetric_error,
 )
-from .tracing import Span, Tracer
+from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "Tracer", "Span",
+    "Tracer", "Span", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "log_buckets",
     "DEFAULT_LATENCY_BUCKETS", "DEFAULT_RATIO_BUCKETS",
     "render_prometheus", "render_json",

@@ -8,13 +8,15 @@ wall-clock interval and a cost dict (``qpf_uses``, ``qpf_roundtrips``,
 
 Design constraints, in order:
 
-1. **Zero cost when absent.**  Hot paths hold a ``tracer`` reference
-   that is ``None`` by default (see ``CostCounter.tracer``); the entire
-   disabled path is one attribute load + ``is None`` test.  No spans,
-   no dicts, no closures are allocated.
-2. **Exact attribution under interleaving.**  Counter *deltas* are only
-   trustworthy on serial sections (a whole ``query()`` call, an fsync).
-   Pipeline phases that suspend mid-span (the batched generator
+1. **One code path.**  Every counter carries a tracer: a
+   :class:`NullTracer` by default (see ``CostCounter.tracer``), whose
+   ``span``/``begin`` hand back one shared no-op span with
+   ``trace_id`` ``None``.  Instrumented code is written once, in its
+   traced form; with tracing off a span costs one method call and no
+   span object.
+2. **Exact attribution under interleaving.**  Whole-query totals come
+   from the calling thread's ``CostCounter.measure`` scope.  Pipeline
+   phases that suspend mid-span (the batched generator
    protocol interleaves many queries) attribute cost from the logical
    per-phase meter instead, via :meth:`Span.record` — so per-phase
    ``qpf_uses`` sums exactly to the global counter, with no
@@ -37,7 +39,7 @@ import threading
 import time
 from collections import deque
 
-__all__ = ["Span", "Tracer", "INHERIT"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "INHERIT"]
 
 #: Default for ``parent=``: adopt the calling thread's current span.
 #: Pass ``parent=None`` explicitly to force a new root (fresh trace).
@@ -259,3 +261,62 @@ class Tracer:
     def reset(self) -> None:
         """Drop every retained span (the id counters keep running)."""
         self._finished.clear()
+
+
+class _NullSpan:
+    """The span a :class:`NullTracer` hands out: records nothing."""
+
+    __slots__ = ()
+
+    trace_id = None
+
+    def set(self, **attrs) -> "_NullSpan":
+        """Discard the attributes."""
+        return self
+
+    def record(self, **costs) -> "_NullSpan":
+        """Discard the costs."""
+        return self
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class NullTracer:
+    """The tracer of a counter with tracing off.
+
+    ``span`` and ``begin`` return one shared no-op span (usable as a
+    context manager, ``trace_id`` ``None``) and ``finish`` discards, so
+    instrumented code runs the same statements whether or not a
+    :class:`Tracer` is installed.
+    """
+
+    __slots__ = ()
+
+    def span(self, name: str, parent=INHERIT, trace_id=None,
+             **attrs) -> _NullSpan:
+        """The shared no-op span (also a no-op context manager)."""
+        return _NULL_SPAN
+
+    def begin(self, name: str, parent=INHERIT, trace_id=None,
+              **attrs) -> _NullSpan:
+        """The shared no-op span."""
+        return _NULL_SPAN
+
+    def finish(self, span, **costs):
+        """Discard: returns ``span`` unchanged."""
+        return span
+
+    def current(self) -> None:
+        """No span is ever open."""
+        return None
+
+
+#: The shared default tracer (see ``CostCounter.tracer``).
+NULL_TRACER = NullTracer()

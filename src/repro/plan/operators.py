@@ -68,11 +68,12 @@ class ExecutionContext:
 
 
 class _audited:
-    """Append ``(attrs, qpf_delta, seconds)`` to ``ctx.audit`` around a
-    block; a ``None`` audit makes it a no-op, so the regular query path
+    """Append ``(attrs, qpf_spent, seconds)`` to ``ctx.audit`` around a
+    block, tallying the QPF in a nested :meth:`CostCounter.measure`
+    scope; a ``None`` audit makes it a no-op, so the regular query path
     shares the execution code without paying for step attribution."""
 
-    __slots__ = ("audit", "attrs", "counter", "qpf_before", "start")
+    __slots__ = ("audit", "attrs", "counter", "scope", "spent", "start")
 
     def __init__(self, audit, attrs, counter):
         self.audit = audit
@@ -81,15 +82,17 @@ class _audited:
 
     def __enter__(self):
         if self.audit is not None:
-            self.qpf_before = self.counter.qpf_uses
+            self.scope = self.counter.measure()
+            self.spent = self.scope.__enter__()
             self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.audit is not None and exc_type is None:
-            self.audit.append((self.attrs,
-                               self.counter.qpf_uses - self.qpf_before,
-                               time.perf_counter() - self.start))
+        if self.audit is not None:
+            self.scope.__exit__(None, None, None)
+            if exc_type is None:
+                self.audit.append((self.attrs, self.spent.qpf_uses,
+                                   time.perf_counter() - self.start))
         return False
 
 
@@ -398,11 +401,8 @@ class BatchProbeOp:
         trapdoors = [ctx.seal_comparison(c.attribute, c.operator,
                                          c.constant)
                      for c in self.conditions]
-        tracer = ctx.counter.tracer
-        if tracer is None:
-            return ctx.server.answer_batch(self.table, trapdoors,
-                                           window=window)
-        with tracer.span("execute_many.window", table=self.table,
-                         queries=len(self.conditions)):
+        with ctx.counter.tracer.span("execute_many.window",
+                                     table=self.table,
+                                     queries=len(self.conditions)):
             return ctx.server.answer_batch(self.table, trapdoors,
                                            window=window)

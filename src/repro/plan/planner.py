@@ -250,11 +250,7 @@ class Planner:
                 f"(EncryptedDatabase.enable_hybrid)")
         cache = self._plan_cache
         profile = cache.profile(statement)
-        counter = self.counter
-        if counter.tracer is None and counter.metrics is None:
-            fingerprint = self._profile_fingerprint(profile)
-        else:
-            fingerprint = self._observed_fingerprint(profile)
+        fingerprint = self._profile_fingerprint(profile)
         if self.hybrid is not None:
             fingerprint = fingerprint + self.hybrid.fingerprint_parts(
                 profile.table, profile.attributes)
@@ -343,10 +339,6 @@ class Planner:
         if metrics is not None:
             metrics.counter(name, help_text).inc()
 
-    def _fingerprint(self, statement: SelectStatement) -> tuple:
-        """Catalog state this statement's costs depend on.  O(conditions)."""
-        return self._profile_fingerprint(self._plan_cache.profile(statement))
-
     def _profile_fingerprint(self, profile: StatementProfile) -> tuple:
         """The live fingerprint for a memoized statement profile.
 
@@ -355,57 +347,46 @@ class Planner:
         and the per-predicate equivalence bit (DO memo still holds the
         trapdoor *and* the SP still caches its Case-1 answer).  The
         estimator is never consulted, so a plan-cache hit costs no
-        cost-model work at all.
+        cost-model work at all.  The check runs in a ``plan.fingerprint``
+        span (visible in query traces and ``explain_analyze``) and feeds
+        the ``repro_plan_fingerprint_seconds`` histogram when metrics
+        are enabled.
         """
-        server = self.server
-        table_name = profile.table
-        table = server.table(table_name)
-        parts: list = [table.num_rows, table.version]
-        indexes: dict[str, object] = {}
-        for attribute in profile.attributes:
-            if server.has_index(table_name, attribute):
-                index = server.index(table_name, attribute)
-                indexes[attribute] = index
-                parts.append((attribute,) + index.plan_fingerprint())
-            else:
-                parts.append((attribute, None))
-        memo_probe = self._trapdoor_memo.get
-        for key in profile.comparison_keys:
-            index = indexes.get(key[0])
-            if index is None:
-                parts.append(False)
-            else:
-                trapdoor = memo_probe(key)
-                parts.append(
-                    trapdoor is not None
-                    and index.has_cached_equivalence(trapdoor.serial))
-        return tuple(parts)
-
-    def _observed_fingerprint(self, profile: StatementProfile) -> tuple:
-        """:meth:`_profile_fingerprint` under observability: wraps the
-        check in a ``plan.fingerprint`` span (visible in query traces
-        and ``explain_analyze``) and feeds the
-        ``repro_plan_fingerprint_seconds`` histogram.  Split out so the
-        bare hot path costs two ``is None`` tests when observability is
-        off."""
         counter = self.counter
-        tracer = counter.tracer
         start = time.perf_counter()
-        if tracer is not None:
-            with tracer.span("plan.fingerprint", table=profile.table,
-                             attributes=len(profile.attributes),
-                             corrections=len(
-                                 self.estimator.corrections or ())):
-                fingerprint = self._profile_fingerprint(profile)
-        else:
-            fingerprint = self._profile_fingerprint(profile)
+        with counter.tracer.span("plan.fingerprint", table=profile.table,
+                                 attributes=len(profile.attributes),
+                                 corrections=len(
+                                     self.estimator.corrections or ())):
+            server = self.server
+            table_name = profile.table
+            table = server.table(table_name)
+            parts: list = [table.num_rows, table.version]
+            indexes: dict[str, object] = {}
+            for attribute in profile.attributes:
+                if server.has_index(table_name, attribute):
+                    index = server.index(table_name, attribute)
+                    indexes[attribute] = index
+                    parts.append((attribute,) + index.plan_fingerprint())
+                else:
+                    parts.append((attribute, None))
+            memo_probe = self._trapdoor_memo.get
+            for key in profile.comparison_keys:
+                index = indexes.get(key[0])
+                if index is None:
+                    parts.append(False)
+                else:
+                    trapdoor = memo_probe(key)
+                    parts.append(
+                        trapdoor is not None
+                        and index.has_cached_equivalence(trapdoor.serial))
         metrics = counter.metrics
         if metrics is not None:
             metrics.histogram(
                 "repro_plan_fingerprint_seconds",
                 "wall time of plan-cache fingerprint checks",
             ).observe(time.perf_counter() - start)
-        return fingerprint
+        return tuple(parts)
 
     def _build(self, statement: SelectStatement, strategy: str,
                fingerprint: tuple) -> PhysicalPlan:

@@ -110,20 +110,16 @@ class QueryServer:
 
     def _serve(self, session: Session, sql: str, strategy: str):
         counter = self.db.counter
-        tracer = counter.tracer
         metrics = counter.metrics
         tenant = session.tenant
         start = time.perf_counter()
         qpf_used = 0
         try:
-            if tracer is None:
+            # parent=None: each request is its own trace root on its
+            # worker thread; the engine's "query" span nests under.
+            with counter.tracer.span("serve.request", parent=None,
+                                     tenant=tenant, sql=sql):
                 answer = session.query(sql, strategy=strategy)
-            else:
-                # parent=None: each request is its own trace root on its
-                # worker thread; the engine's "query" span nests under.
-                with tracer.span("serve.request", parent=None,
-                                 tenant=tenant, sql=sql):
-                    answer = session.query(sql, strategy=strategy)
             qpf_used = answer.qpf_uses
             self._count(tenant, "ok")
             with self._lock:

@@ -256,7 +256,7 @@ class SessionManager:
                     else gate.write())
             with hold:
                 answer = self.db._query_with(session.planner, sql,
-                                             strategy, measured=True,
+                                             strategy,
                                              tenant=session.tenant)
             with session._lock:
                 session.queries_served += 1

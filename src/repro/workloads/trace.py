@@ -128,24 +128,22 @@ def replay(db, trace: WorkloadTrace,
     """
     results: list[ReplayResult] = []
     for operation in trace:
-        before = db.counter.qpf_uses
-        if operation.kind == "sql":
-            answer = db.query(operation.payload, strategy=strategy)
-            count = answer.count
-        elif operation.kind == "insert":
-            rows = {
-                attr: np.asarray(values, dtype=np.int64)
-                for attr, values in operation.payload.items()
-            }
-            uids = db.insert(operation.table, rows)
-            count = int(uids.size)
-        else:
-            db.delete(operation.table,
-                      np.asarray(operation.payload, dtype=np.uint64))
-            count = len(operation.payload)
+        with db.counter.measure() as spent:
+            if operation.kind == "sql":
+                count = db.query(operation.payload, strategy=strategy).count
+            elif operation.kind == "insert":
+                rows = {
+                    attr: np.asarray(values, dtype=np.int64)
+                    for attr, values in operation.payload.items()
+                }
+                count = int(db.insert(operation.table, rows).size)
+            else:
+                db.delete(operation.table,
+                          np.asarray(operation.payload, dtype=np.uint64))
+                count = len(operation.payload)
         results.append(ReplayResult(
             operation=operation,
             result_count=count,
-            qpf_uses=db.counter.qpf_uses - before,
+            qpf_uses=spent.qpf_uses,
         ))
     return results

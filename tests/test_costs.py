@@ -1,7 +1,12 @@
 """Unit tests for cost counters and the cost model."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.edbms import CostCounter, CostModel
 
 
@@ -44,6 +49,47 @@ class TestCostCounter:
                           "recovery_records_replayed",
                           "recovery_torn_bytes",
                           "recovery_orphan_repairs"}
+
+
+class TestMeasureScopes:
+    def test_nested_scopes_with_equal_tallies_unwind_in_order(self):
+        # Two zero tallies compare equal; closing the inner scope must
+        # still leave the outer one open to receive later charges.
+        counter = CostCounter()
+        with counter.measure() as outer:
+            with counter.measure() as inner:
+                pass
+            counter.charge(qpf_uses=1)
+        assert (outer.qpf_uses, inner.qpf_uses) == (1, 0)
+
+
+class TestChargeIsTheOnlyWriter:
+    def test_no_module_writes_a_counter_field_directly(self):
+        # A ``counter.field += n`` outside ``charge()`` skips the lock
+        # and every open ``measure()`` scope, so per-query tallies
+        # silently miss that cost.  Scan the package source for any
+        # assignment to a CostCounter field name outside costs.py.
+        names = {f.name for f in dataclasses.fields(CostCounter)}
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "costs.py" and path.parent.name == "edbms":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) \
+                                and sub.attr in names:
+                            offenders.append(
+                                f"{path.relative_to(root)}:{node.lineno}: "
+                                f"{ast.unparse(node)}")
+        assert not offenders, "\n".join(offenders)
 
 
 class TestCostModel:

@@ -240,6 +240,30 @@ class TestTenantBudgets:
         assert tight.planner.hybrid.ledger.spent("t") == 0.0
         manager.close()
 
+    @pytest.mark.parametrize("strategy", ["mpc", "src"])
+    def test_session_answers_report_exact_scheme_qpf(self, strategy):
+        # MPC and Log-SRC-i charge the shared counter from outside the
+        # trusted machine; a session answer must still report exactly
+        # what its query spent, and the same figure db.query reports
+        # on an identically seeded twin.
+        from repro.serve import SessionManager
+
+        database = _make_db()
+        twin = _make_db()
+        database.enable_hybrid()
+        twin.enable_hybrid()
+        session = SessionManager(database).session("acme")
+        for sql in WORKLOAD:
+            before = database.counter.qpf_uses
+            answer = session.query(sql, strategy=strategy)
+            spent = database.counter.qpf_uses - before
+            reference = twin.query(sql, strategy=strategy)
+            assert spent > 0
+            assert answer.qpf_uses == spent == reference.qpf_uses
+            assert np.array_equal(np.sort(answer.uids),
+                                  np.sort(reference.uids))
+        database.close()
+
     def test_tenant_budget_requires_hybrid(self):
         from repro.serve import SessionManager
 
